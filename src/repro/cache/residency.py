@@ -34,10 +34,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterable, Iterator
 
-try:  # numpy ships with the devices layer's dependencies; gate anyway
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is present in CI
-    _np = None
+import numpy as _np
 
 _EMPTY_PAGES: frozenset[int] = frozenset()
 
@@ -50,9 +47,6 @@ def make_residency(kind: str):
     if kind == "runs":
         return RunResidency()
     if kind == "bitmap":
-        if _np is None:  # pragma: no cover - numpy is present in CI
-            raise RuntimeError(
-                "residency kind 'bitmap' requires numpy; use 'runs'")
         return BitmapResidency()
     if kind == "sets":
         return SetResidency()

@@ -24,6 +24,8 @@ the SLEDs describe.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cache.page_cache import PageCache
 from repro.core.sled import Sled, SledVector
 from repro.core.sled_table import SledTable
@@ -31,11 +33,6 @@ from repro.devices import batch
 from repro.fs.filesystem import FileSystem, PageEstimate
 from repro.fs.inode import Inode
 from repro.sim.units import PAGE_SIZE
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a hard dep in practice
-    np = None
 
 #: below this many runs the scalar fold is faster than numpy dispatch
 _VECTOR_MIN_RUNS = 16
@@ -192,8 +189,7 @@ def build_sled_vector(cache: PageCache, fs: FileSystem, inode: Inode,
         cursor = end
     if cursor < npages:
         gap(cursor, npages - cursor)
-    if (np is not None and len(counts) >= _VECTOR_MIN_RUNS
-            and batch.enabled()):
+    if len(counts) >= _VECTOR_MIN_RUNS and batch.enabled():
         # x + 0.0 is bitwise x for the positive latencies involved, so
         # memory runs (extra pinned to 0.0) survive the batched add
         return _emit_arrays(

@@ -1,10 +1,11 @@
 """Vectorised kernels for the batched device-math fast path.
 
-The kernel's fault fast path (:meth:`Kernel._fault_in`) wants to charge a
-*run* of sequential page faults without running O(pages) Python: the
-per-device batch kernels (``Device._batch_page_math``) compute whole-run
-duration and component arrays in one numpy pass, and the helpers here fold
-them into the same running sums the scalar path maintains.
+The kernel's run-batched fault executor (``Kernel._fault_in_batch``)
+wants to charge a *run* of sequential page faults without running
+O(pages) Python: the per-device batch kernels
+(``Device._batch_page_math``) compute whole-run duration and component
+arrays in one numpy pass, and the helpers here fold them into the same
+running sums the scalar path maintains.
 
 Exact equality is the contract, not approximation: every accumulator the
 scalar path advances with a chain of ``total += x_i`` is advanced here with
@@ -12,13 +13,10 @@ scalar path advances with a chain of ``total += x_i`` is advanced here with
 reproduces the scalar IEEE-754 addition order bit for bit.  ``numpy.sum``
 would not — it sums pairwise.
 
-The module is also the kill switch.  The fast path is off when
-
-* numpy is unavailable (the import is guarded so the library still works
-  scalar-only),
-* the ``SLEDS_NO_VECTOR`` environment variable is set to anything other
-  than ``0`` or the empty string (read once at import), or
-* a test called :func:`set_enabled` with ``False``.
+The module is also the kill switch.  The fast path is off when the
+``SLEDS_NO_VECTOR`` environment variable is set to anything other than
+``0`` or the empty string (read once at import), or when a test called
+:func:`set_enabled` with ``False``.
 
 Every caller falls back to the scalar reference path when
 :func:`enabled` is false, so flipping the switch must never change a
@@ -29,10 +27,7 @@ from __future__ import annotations
 
 import os
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dep today
-    _np = None
+import numpy as _np
 
 #: environment kill switch, read once at import
 NO_VECTOR_ENV = "SLEDS_NO_VECTOR"
@@ -45,8 +40,6 @@ _forced: bool | None = None
 
 def enabled() -> bool:
     """Whether the vectorised fast path may be used."""
-    if _np is None:
-        return False
     if _forced is not None:
         return _forced
     return _env_enabled

@@ -183,10 +183,6 @@ class Kernel:
         #: None = off.  Measures host CPU time only — virtual timings
         #: are bit-identical with a profiler attached or not.
         self.profiler = None
-        #: lazily-built TelemetryBatch for the engine's batched fault
-        #: path (repro.obs.telemetry); rebuilt if telemetry is swapped.
-        #: Never allocated while telemetry is detached (zero-cost rule).
-        self._telemetry_batch = None
 
     # ------------------------------------------------------------------
     # mounts and path resolution
@@ -223,19 +219,19 @@ class Kernel:
 
     def resolve(self, path: str) -> tuple[FileSystem, Inode, list[str]]:
         """(fs, inode, fs-relative parts) for an absolute path."""
-        parts = split_path(path)
-        for prefix, fs in self._mounts:
-            if tuple(parts[: len(prefix)]) == prefix:
-                rel = parts[len(prefix):]
-                return fs, fs.resolve(rel), rel
-        raise FileNotFoundSimError(f"{path!r}: no filesystem mounted")
+        fs, rel = self._mount_of(path)
+        return fs, fs.resolve(rel), rel
 
     def fs_of(self, path: str) -> FileSystem:
         """The filesystem an absolute path lives on."""
+        return self._mount_of(path)[0]
+
+    def _mount_of(self, path: str) -> tuple[FileSystem, list[str]]:
+        """(fs, fs-relative parts) of the most specific covering mount."""
         parts = split_path(path)
         for prefix, fs in self._mounts:
             if tuple(parts[: len(prefix)]) == prefix:
-                return fs
+                return fs, parts[len(prefix):]
         raise FileNotFoundSimError(f"{path!r}: no filesystem mounted")
 
     # ------------------------------------------------------------------
@@ -345,13 +341,11 @@ class Kernel:
         if mode not in ("r", "r+", "w", "a"):
             raise InvalidArgumentError(f"unsupported open mode {mode!r}")
         writable = mode != "r"
-        fs = self.fs_of(path)
+        fs, rel = self._mount_of(path)
         if writable and fs.read_only:
             raise ReadOnlyFilesystemError(
                 f"{path!r}: filesystem {fs.name!r} is read-only")
         self._charge_metadata(fs)
-        parts = split_path(path)
-        rel = parts[len(self._mount_prefix_of(fs)):]
         try:
             inode = fs.resolve(rel)
         except FileNotFoundSimError:
@@ -375,12 +369,6 @@ class Kernel:
         self._next_fd += 1
         inode.atime = self.clock.now
         return of.fd
-
-    def _mount_prefix_of(self, fs: FileSystem) -> tuple[str, ...]:
-        for prefix, mounted in self._mounts:
-            if mounted is fs:
-                return prefix
-        raise InvalidArgumentError(f"filesystem {fs.name!r} is not mounted")
 
     def _truncate(self, fs: FileSystem, inode: Inode) -> None:
         self.page_cache.invalidate_inode(inode.id)
@@ -460,81 +448,78 @@ class Kernel:
     @_syscall_span("read")
     def read(self, fd: int, nbytes: int) -> bytes:
         """Read up to ``nbytes`` at the current position."""
-        self._syscall("read")
-        if nbytes < 0:
-            raise InvalidArgumentError(f"negative read length: {nbytes}")
-        of = self._fd(fd)
-        inode = of.inode
-        nbytes = min(nbytes, max(0, inode.size - of.pos))
-        if nbytes == 0:
-            return b""
-        self._fault_in(of, of.pos, nbytes)
-        data = inode.content.read(of.pos, nbytes)
-        self._charge_memory(nbytes)
-        of.pos += nbytes
-        self.counters.bytes_read += nbytes
-        return data
+        of, offset, nbytes = self._read_span("read", fd, None, nbytes)
+        if nbytes:
+            self._fault_in(of, offset, nbytes)
+        return self._deliver(of, offset, nbytes)
 
     @_syscall_span("pread")
     def pread(self, fd: int, offset: int, nbytes: int) -> bytes:
         """Positional read; does not move the file offset or readahead."""
-        self._syscall("pread")
-        if offset < 0 or nbytes < 0:
+        of, offset, nbytes = self._read_span("pread", fd, offset, nbytes)
+        if nbytes:
+            self._fault_in(of, offset, nbytes, use_readahead=False)
+        return self._deliver(of, offset, nbytes, positional=True)
+
+    def _read_span(self, name: str, fd: int, offset: int | None,
+                   nbytes: int) -> tuple[OpenFile, int, int]:
+        """Charge a read syscall and validate it: ``(open file, offset,
+        length clamped to end of file)``; ``offset=None`` reads at the
+        file position."""
+        self._syscall(name)
+        if nbytes < 0 or (offset is not None and offset < 0):
             raise InvalidArgumentError(
-                f"negative offset/length: {offset}, {nbytes}")
+                f"negative read length: {nbytes}" if offset is None
+                else f"negative offset/length: {offset}, {nbytes}")
         of = self._fd(fd)
-        inode = of.inode
-        nbytes = min(nbytes, max(0, inode.size - offset))
+        if offset is None:
+            offset = of.pos
+        return of, offset, min(nbytes, max(0, of.inode.size - offset))
+
+    def _deliver(self, of: OpenFile, offset: int, nbytes: int,
+                 positional: bool = False) -> bytes:
+        """Copy faulted-in bytes out at memory cost; a non-positional
+        read advances the file position."""
         if nbytes == 0:
             return b""
-        self._fault_in(of, offset, nbytes, use_readahead=False)
-        data = inode.content.read(offset, nbytes)
+        data = of.inode.content.read(offset, nbytes)
         self._charge_memory(nbytes)
+        if not positional:
+            of.pos += nbytes
         self.counters.bytes_read += nbytes
         return data
 
-    def _fault_in(self, of: OpenFile, offset: int, length: int,
-                  use_readahead: bool = True) -> None:
-        # Vectorised fast path: a readahead-free span (pread) with no
-        # observation hooks, no noise, and the stock extent-run read path
-        # can charge whole miss runs with O(runs) numpy work instead of
-        # O(pages) Python (see docs/performance.md).  Every condition
-        # below names a feature whose per-page side effects the batch
-        # does not reproduce; any of them sends the span down the scalar
-        # reference loop, which remains bit-identical.
-        if (not use_readahead and self.telemetry is None
-                and self.tracer is None and self.prefetcher is None
-                and self.current_tenant is None and self.noise <= 0.0
-                and self.page_cache.observer is None
-                and device_batch.enabled()
-                and type(of.fs).read_pages is FileSystem.read_pages):
-            self._fault_in_batch(of, offset, length)
-            return
-        from repro.obs.lifecycle import component_delta, snapshot_components
+    # -- the read-fault pipeline: plan -> execute -> commit -------------
 
+    def _plan(self, of: OpenFile, offset: int, length: int,
+              use_readahead: bool, deferred: bool = False):
+        """Walk the span once per page, charging hits and misses, and
+        yield ``(page, cluster, window)`` per miss for an executor to
+        read and :meth:`_commit`.  Lazy, so a serial executor's inserts
+        and evictions are seen by the next page; with ``deferred`` (for
+        executors that commit after the whole walk) pages an earlier
+        cluster of this span covers are hits without a cache access."""
         # hot loop: hoist every per-iteration attribute load — at millions
         # of faults per run these lookups dominate the instrumented profile
         inode = of.inode
         inode_id = inode.id
-        fs = of.fs
         cache = self.page_cache
         counters = self.counters
-        clock = self.clock
         telemetry = self.telemetry
-        tracer = self.tracer
         prefetcher = self.prefetcher
+        tenant = self.current_tenant
         readahead = of.readahead
         npages = inode.npages
-        category = fs.device.time_category
-        tenant = self.current_tenant
+        covered_until = -1  # end of the last deferred cluster, exclusive
         for page in page_span(offset, length):
             window = readahead.advise(page) if use_readahead else 1
             key = (inode_id, page)
-            if cache.access(key):
+            covered = page < covered_until
+            if covered or cache.access(key):
                 counters.cache_hits += 1
                 if tenant is not None:
                     counters.note_tenant_hit(tenant)
-                if prefetcher is not None:
+                if prefetcher is not None and not covered:
                     prefetcher.note_access(key)
                 if telemetry is not None:
                     telemetry.on_hit(inode_id, page)
@@ -548,49 +533,85 @@ class Kernel:
             while (cluster < limit
                    and not cache.peek((inode_id, page + cluster))):
                 cluster += 1
-            if telemetry is not None:
-                before = snapshot_components(fs)
-            seconds = self._noisy(fs.read_pages(inode, page, cluster))
-            clock.advance(seconds, category)
-            counters.pages_read += cluster
-            counters.readahead_pages += cluster - 1
-            if tracer is not None:
-                tracer.emit(clock.now, "fault", category, seconds,
-                            page=page, cluster=cluster, inode=inode_id)
-            if telemetry is not None:
-                telemetry.on_fault(
-                    fs.device, inode_id, page, cluster, seconds,
-                    now=clock.now, window=window, fs=fs,
-                    components=component_delta(before))
-            for extra in range(page, page + cluster):
-                if cache.insert((inode_id, extra), tenant) is not None:
-                    counters.evictions += 1
-                    if tenant is not None:
-                        counters.note_tenant_eviction(
-                            cache.last_evicted_owner)
-                if telemetry is not None and extra != page:
-                    telemetry.on_readahead_insert((inode_id, extra))
+            if deferred:
+                covered_until = page + cluster
+            yield page, cluster, window
+
+    def _commit(self, of: OpenFile, page: int, cluster: int, window: int,
+                seconds: float, completion=None, components=None,
+                tele_batch=None) -> None:
+        """Charge one cluster read in ``seconds``, report it to the tracer
+        and telemetry (or defer it into ``tele_batch``), insert it."""
+        counters = self.counters
+        counters.pages_read += cluster
+        counters.readahead_pages += cluster - 1
+        inode_id = of.inode.id
+        fs = of.fs
+        now = self.clock.now
+        if self.tracer is not None:
+            self.tracer.emit(now, "fault", fs.device.time_category, seconds,
+                             page=page, cluster=cluster, inode=inode_id)
+        telemetry = self.telemetry
+        if tele_batch is not None:
+            tele_batch.add(fs.device, inode_id, page, cluster, seconds,
+                           now, window, fs, completion)
+        elif telemetry is not None:
+            telemetry.on_fault(fs.device, inode_id, page, cluster, seconds,
+                               now=now, window=window, fs=fs,
+                               completion=completion, components=components)
+        tenant = self.current_tenant
+        for extra in range(page, page + cluster):
+            self.insert_page((inode_id, extra), tenant)
+            if telemetry is not None and extra != page:
+                telemetry.on_readahead_insert((inode_id, extra))
+
+    def insert_page(self, key: tuple[int, int],
+                    tenant: str | None = None) -> None:
+        """Make one page resident for ``tenant``, charging any eviction to
+        the victim's owner: the one eviction-accounting step of fault
+        commits, writes and prefetch completions."""
+        cache = self.page_cache
+        if cache.insert(key, tenant) is not None:
+            self.counters.note_eviction(cache.last_evicted_owner)
+
+    def _batchable(self, of: OpenFile, use_readahead: bool) -> bool:
+        """Whether :meth:`_fault_in_batch` may take a span: it reproduces
+        no readahead advice, observer, tenant or noise side effects, and
+        reads only through the stock extent-run path."""
+        return (not use_readahead and self.telemetry is None
+                and self.tracer is None and self.prefetcher is None
+                and self.current_tenant is None and self.noise <= 0.0
+                and self.page_cache.observer is None
+                and device_batch.enabled()
+                and type(of.fs).read_pages is FileSystem.read_pages)
+
+    def _fault_in(self, of: OpenFile, offset: int, length: int,
+                  use_readahead: bool = True) -> None:
+        """The blocking executor: read each planned cluster in place."""
+        if self._batchable(of, use_readahead):
+            self._fault_in_batch(of, offset, length)
+            return
+        from repro.obs.lifecycle import component_delta, snapshot_components
+
+        fs = of.fs
+        observed = self.telemetry is not None
+        for page, cluster, window in self._plan(of, offset, length,
+                                                use_readahead):
+            before = snapshot_components(fs) if observed else None
+            seconds = self._noisy(fs.read_pages(of.inode, page, cluster))
+            self.clock.advance(seconds, fs.device.time_category)
+            self._commit(of, page, cluster, window, seconds, components=(
+                component_delta(before) if observed else None))
 
     def _fault_in_batch(self, of: OpenFile, offset: int, length: int) -> None:
-        """Charge a readahead-free span with run-granular batch work.
-
-        Equivalent to the scalar ``_fault_in`` loop with ``window == 1``
-        and no observers attached.  Pages are still processed strictly in
-        page order; only the *mechanism* changes:
-
-        * hits go through the real :meth:`PageCache.access` (one per
-          page — recency moves must land in scalar order), with residency
-          tested at process time so this span's own evictions are seen;
-        * maximal miss runs are split into device-contiguous extent
-          pieces, each charged via :meth:`DeviceModel.read_run` (whole-run
-          numpy math, left-fold accumulation), advanced on the clock with
-          :meth:`VirtualClock.advance_run`, and inserted with
-          :meth:`PageCache.insert_run`.
-
-        Every batched step falls back to the scalar equivalent *for that
-        piece* when a precondition fails (device declines, non-LRU
-        policy, run larger than the cache), so the path never needs to
-        undo partial work.
+        """The run-granular blocking executor for spans
+        :meth:`_batchable` admits: the planner with ``window == 1``, in
+        page order, but each maximal miss run is split into extent
+        pieces charged with :meth:`Device.read_run`,
+        :meth:`VirtualClock.advance_run` and :meth:`PageCache.insert_run`.
+        Hits still go through :meth:`PageCache.access` one by one, so
+        recency moves land in scalar order.  A piece whose batched step
+        declines (device, policy, size) takes the scalar step instead.
         """
         inode = of.inode
         inode_id = inode.id
@@ -639,233 +660,70 @@ class Kernel:
                     profiler.add("device.batch_math", t_dev)
                 evicted = cache.insert_run(inode_id, file_page, piece_pages)
                 if evicted is None:
-                    evicted = 0
                     for extra in range(file_page, file_page + piece_pages):
-                        if cache.insert((inode_id, extra)) is not None:
-                            evicted += 1
-                counters.evictions += evicted
+                        self.insert_page((inode_id, extra))
+                else:
+                    counters.evictions += evicted
         if profiler is not None:
             profiler.add("kernel.fault_batch", t_batch)
 
-    # -- the event-driven read path ------------------------------------
-
     def read_async(self, fd: int, nbytes: int):
-        """``read`` as a generator: hard faults *submit* to the attached
-        engine's per-device queue and ``yield`` the completion future —
-        the scheduler runs other tasks while the device services the
-        request.  Drive with ``data = yield from kernel.read_async(...)``
-        inside a task under :class:`~repro.sim.tasks.EventScheduler`.
-
-        Accounting (hits, faults, readahead clusters, bytes) matches the
-        blocking ``read`` exactly; only *who waits* differs.
+        """``read`` as a generator for a task under
+        :class:`~repro.sim.tasks.EventScheduler`
+        (``data = yield from kernel.read_async(...)``): faults wait on the
+        attached engine's device queues while other tasks run.  The
+        accounting is the blocking ``read``'s; only *who waits* differs.
         """
-        self._syscall("read")
-        if nbytes < 0:
-            raise InvalidArgumentError(f"negative read length: {nbytes}")
-        of = self._fd(fd)
-        inode = of.inode
-        nbytes = min(nbytes, max(0, inode.size - of.pos))
-        if nbytes == 0:
-            return b""
-        yield from self._fault_in_async(of, of.pos, nbytes)
-        data = inode.content.read(of.pos, nbytes)
-        self._charge_memory(nbytes)
-        of.pos += nbytes
-        self.counters.bytes_read += nbytes
-        return data
+        of, offset, nbytes = self._read_span("read", fd, None, nbytes)
+        if nbytes:
+            yield from self._fault_in_async(of, offset, nbytes)
+        return self._deliver(of, offset, nbytes)
 
     def pread_async(self, fd: int, offset: int, nbytes: int):
         """Positional ``read_async``; no offset motion, no readahead."""
-        self._syscall("pread")
-        if offset < 0 or nbytes < 0:
-            raise InvalidArgumentError(
-                f"negative offset/length: {offset}, {nbytes}")
-        of = self._fd(fd)
-        inode = of.inode
-        nbytes = min(nbytes, max(0, inode.size - offset))
-        if nbytes == 0:
-            return b""
-        yield from self._fault_in_async(of, offset, nbytes,
-                                        use_readahead=False)
-        data = inode.content.read(offset, nbytes)
-        self._charge_memory(nbytes)
-        self.counters.bytes_read += nbytes
-        return data
+        of, offset, nbytes = self._read_span("pread", fd, offset, nbytes)
+        if nbytes:
+            yield from self._fault_in_async(of, offset, nbytes,
+                                            use_readahead=False)
+        return self._deliver(of, offset, nbytes, positional=True)
 
     def _fault_in_async(self, of: OpenFile, offset: int, length: int,
                         use_readahead: bool = True):
-        """The submit/wait split of :meth:`_fault_in`.
-
-        Miss handling becomes two halves: *submit* the fault cluster to
-        the engine's device queue (counters charged here, in the faulting
-        task's slice), then ``yield`` the future — the scheduler parks the
-        task until the device completion event fires — and finish with the
-        cache inserts.  Cluster discovery runs at submit time, so pages a
-        concurrent task faulted meanwhile are re-checked on resume only
-        via the cache insert (double-fetch of a racing page costs device
-        time, as it does on real hardware).
+        """The engine executors.  Serial: submit each planned cluster,
+        park on its future, commit (a page a concurrent task faulted
+        meanwhile is read twice, as on real hardware).  Block front: plan
+        the whole span deferred and submit every cluster up front, so
+        adjacent ones coalesce in the device's plug; park once.
         """
         engine = self.engine
         if engine is None:
             raise InvalidArgumentError(
                 "no I/O engine attached; use the blocking read path or "
                 "kernel.attach_engine()")
-        if engine.block_active:
-            yield from self._fault_in_runs(of, offset, length,
-                                           use_readahead)
+        fs = of.fs
+        inode = of.inode
+        if not engine.block_active:
+            for page, cluster, window in self._plan(of, offset, length,
+                                                    use_readahead):
+                completion = yield engine.submit_cluster(fs, inode, page,
+                                                         cluster)
+                self._commit(of, page, cluster, window, completion.duration,
+                             completion=completion)
             return
-        inode = of.inode
-        inode_id = inode.id
-        fs = of.fs
-        cache = self.page_cache
-        counters = self.counters
-        readahead = of.readahead
-        npages = inode.npages
-        tenant = self.current_tenant
-        for page in page_span(offset, length):
-            window = readahead.advise(page) if use_readahead else 1
-            key = (inode_id, page)
-            if cache.access(key):
-                counters.cache_hits += 1
-                if tenant is not None:
-                    counters.note_tenant_hit(tenant)
-                if self.prefetcher is not None:
-                    self.prefetcher.note_access(key)
-                if self.telemetry is not None:
-                    self.telemetry.on_hit(inode_id, page)
-                continue
-            counters.cache_misses += 1
-            counters.hard_faults += 1
-            if tenant is not None:
-                counters.note_tenant_miss(tenant)
-            cluster = 1
-            limit = min(window, npages - page)
-            while (cluster < limit
-                   and not cache.peek((inode_id, page + cluster))):
-                cluster += 1
-            future = engine.submit_cluster(fs, inode, page, cluster,
-                                           tenant=tenant)
-            completion = yield future
-            seconds = completion.duration
-            counters.pages_read += cluster
-            counters.readahead_pages += cluster - 1
-            if self.tracer is not None:
-                self.tracer.emit(self.clock.now, "fault",
-                                 fs.device.time_category, seconds,
-                                 page=page, cluster=cluster,
-                                 inode=inode_id)
-            if self.telemetry is not None:
-                self.telemetry.on_fault(
-                    fs.device, inode_id, page, cluster, seconds,
-                    now=self.clock.now, window=window, fs=fs,
-                    completion=completion)
-            for extra in range(page, page + cluster):
-                if cache.insert((inode_id, extra), tenant) is not None:
-                    counters.evictions += 1
-                    if tenant is not None:
-                        counters.note_tenant_eviction(
-                            cache.last_evicted_owner)
-                if self.telemetry is not None and extra != page:
-                    self.telemetry.on_readahead_insert((inode_id, extra))
-
-    def _fault_in_runs(self, of: OpenFile, offset: int, length: int,
-                       use_readahead: bool = True):
-        """Batched fault path for an engine with an active block front.
-
-        Instead of submit-then-park per miss, *all* miss runs of the span
-        are discovered and submitted up front — they land in the device's
-        plug together, where adjacent runs (a ``pread`` loop's 1-page
-        clusters, or a readahead window walking a file) coalesce into one
-        device request — and the task parks once on the whole set.
-
-        Accounting is kept identical to the serial path: hit/miss/fault
-        counters are charged at discovery, in span order, with the same
-        readahead advice; pages covered by an *earlier run of this same
-        span* count as cache hits, exactly as the serial path would have
-        hit them after that run's insert.
-        """
-        engine = self.engine
-        inode = of.inode
-        inode_id = inode.id
-        fs = of.fs
-        cache = self.page_cache
-        counters = self.counters
-        readahead = of.readahead
-        npages = inode.npages
-        tenant = self.current_tenant
-        runs: list[tuple[int, int, int]] = []  # (page, cluster, window)
-        covered_until = -1  # end of the last planned run, exclusive
-        for page in page_span(offset, length):
-            window = readahead.advise(page) if use_readahead else 1
-            key = (inode_id, page)
-            if page < covered_until or cache.access(key):
-                counters.cache_hits += 1
-                if tenant is not None:
-                    counters.note_tenant_hit(tenant)
-                if page >= covered_until and self.prefetcher is not None:
-                    self.prefetcher.note_access(key)
-                if self.telemetry is not None:
-                    self.telemetry.on_hit(inode_id, page)
-                continue
-            counters.cache_misses += 1
-            counters.hard_faults += 1
-            if tenant is not None:
-                counters.note_tenant_miss(tenant)
-            cluster = 1
-            limit = min(window, npages - page)
-            while (cluster < limit
-                   and not cache.peek((inode_id, page + cluster))):
-                cluster += 1
-            runs.append((page, cluster, window))
-            covered_until = page + cluster
+        runs = list(self._plan(of, offset, length, use_readahead,
+                               deferred=True))
         if not runs:
             return
-        futures = [engine.submit_cluster(fs, inode, page, cluster,
-                                         tenant=tenant)
+        futures = [engine.submit_cluster(fs, inode, page, cluster)
                    for page, cluster, _ in runs]
         yield futures
-        # completion walk: hoist per-run attribute loads — nothing in the
-        # loop yields, so clock/telemetry/tracer are loop invariants
-        tracer = self.tracer
-        telemetry = self.telemetry
-        device = fs.device
-        category = device.time_category
-        now = self.clock.now
-        tele_batch = None
-        if telemetry is not None and device_batch.enabled():
-            # defer on_fault fan-in to one flush per batch; a ticking
-            # time-series sampler must observe the exact scalar
-            # interleaving with cache-counter updates, so it opts out
-            if telemetry.timeseries is None:
-                tele_batch = self._telemetry_batch
-                if tele_batch is None or tele_batch.telemetry is not telemetry:
-                    from repro.obs.telemetry import TelemetryBatch
-                    tele_batch = self._telemetry_batch = (
-                        TelemetryBatch(telemetry))
+        tele_batch = (self.telemetry.fault_batch()
+                      if self.telemetry is not None
+                      and device_batch.enabled() else None)
         for (page, cluster, window), future in zip(runs, futures):
             completion = future.value
-            seconds = completion.duration
-            counters.pages_read += cluster
-            counters.readahead_pages += cluster - 1
-            if tracer is not None:
-                tracer.emit(now, "fault", category, seconds,
-                            page=page, cluster=cluster, inode=inode_id)
-            if tele_batch is not None:
-                tele_batch.add(device, inode_id, page, cluster, seconds,
-                               now, window, fs, completion)
-            elif telemetry is not None:
-                telemetry.on_fault(
-                    device, inode_id, page, cluster, seconds,
-                    now=now, window=window, fs=fs,
-                    completion=completion)
-            for extra in range(page, page + cluster):
-                if cache.insert((inode_id, extra), tenant) is not None:
-                    counters.evictions += 1
-                    if tenant is not None:
-                        counters.note_tenant_eviction(
-                            cache.last_evicted_owner)
-                if telemetry is not None and extra != page:
-                    telemetry.on_readahead_insert((inode_id, extra))
+            self._commit(of, page, cluster, window, completion.duration,
+                         completion=completion, tele_batch=tele_batch)
         if tele_batch is not None:
             profiler = self.profiler
             t0 = profiler.begin() if profiler is not None else 0.0
@@ -891,75 +749,54 @@ class Kernel:
 
     @_syscall_span("write")
     def write(self, fd: int, data: bytes) -> int:
-        self._syscall("write")
-        of = self._fd(fd)
-        if not of.writable:
-            raise BadFileDescriptorError(f"fd {fd} not open for writing")
-        if of.fs.read_only:
-            raise ReadOnlyFilesystemError(
-                f"filesystem {of.fs.name!r} is read-only")
-        if not data:
-            return 0
-        inode = of.inode
-        if of.append:
-            of.pos = inode.size
-        end = of.pos + len(data)
-        if end > inode.size:
-            of.fs.grow_file(inode, end)
-        try:
-            inode.content.write(of.pos, data)
-        except ReadOnlyFilesystemError:
-            # immutable content store (synthetic text, zeros): upgrade to
-            # a copy-on-write overlay the first time the file is written
-            from repro.fs.content import CowContent
-            inode.content = CowContent(inode.content)
-            inode.content.write(of.pos, data)
-        self._charge_memory(len(data))
-        dirty = self._dirty.setdefault(inode.id, (of.fs, inode, set()))[2]
-        for page in page_span(of.pos, len(data)):
-            if self.page_cache.insert((inode.id, page),
-                                      self.current_tenant) is not None:
-                self.counters.evictions += 1
-            dirty.add(page)
-        self.counters.bytes_written += len(data)
-        of.pos = end
-        inode.mtime = self.clock.now
-        if len(dirty) >= self.writeback_threshold_pages:
-            self._flush_inode(inode.id)
-        return len(data)
+        return self._write("write", fd, None, data)
 
     @_syscall_span("pwrite")
     def pwrite(self, fd: int, offset: int, data: bytes) -> int:
         """Positional write; does not move the file offset."""
-        self._syscall("pwrite")
+        return self._write("pwrite", fd, offset, data)
+
+    def _write(self, name: str, fd: int, offset: int | None,
+               data: bytes) -> int:
+        """The body of ``write`` (``offset=None``: at the file position,
+        which it then advances) and ``pwrite``."""
+        self._syscall(name)
         of = self._fd(fd)
         if not of.writable:
             raise BadFileDescriptorError(f"fd {fd} not open for writing")
         if of.fs.read_only:
             raise ReadOnlyFilesystemError(
                 f"filesystem {of.fs.name!r} is read-only")
-        if offset < 0:
+        if offset is not None and offset < 0:
             raise InvalidArgumentError(f"negative offset: {offset}")
         if not data:
             return 0
         inode = of.inode
+        positional = offset is not None
+        if not positional:
+            if of.append:
+                of.pos = inode.size
+            offset = of.pos
         end = offset + len(data)
         if end > inode.size:
             of.fs.grow_file(inode, end)
         try:
             inode.content.write(offset, data)
         except ReadOnlyFilesystemError:
+            # immutable content store (synthetic text, zeros): upgrade to
+            # a copy-on-write overlay the first time the file is written
             from repro.fs.content import CowContent
             inode.content = CowContent(inode.content)
             inode.content.write(offset, data)
         self._charge_memory(len(data))
-        dirty = self._dirty.setdefault(inode.id, (of.fs, inode, set()))[2]
+        dirty = self._dirty_pages(of.fs, inode)
+        tenant = self.current_tenant
         for page in page_span(offset, len(data)):
-            if self.page_cache.insert((inode.id, page),
-                                      self.current_tenant) is not None:
-                self.counters.evictions += 1
+            self.insert_page((inode.id, page), tenant)
             dirty.add(page)
         self.counters.bytes_written += len(data)
+        if not positional:
+            of.pos = end
         inode.mtime = self.clock.now
         if len(dirty) >= self.writeback_threshold_pages:
             self._flush_inode(inode.id)
@@ -978,8 +815,16 @@ class Kernel:
         through the I/O scheduler, so scattered cross-file writeback
         becomes an elevator sweep rather than FCFS seek chains.
         """
+        self._flush(list(self._dirty))
+
+    def _flush_inode(self, inode_id: int) -> None:
+        if inode_id in self._dirty:
+            self._flush([inode_id])
+
+    def _flush(self, inode_ids: list[int]) -> None:
+        """Write back these dirty inodes, one batch per filesystem."""
         by_fs: dict[int, tuple[FileSystem, list]] = {}
-        for inode_id in list(self._dirty):
+        for inode_id in inode_ids:
             fs, inode, pages = self._dirty.pop(inode_id)
             by_fs.setdefault(id(fs), (fs, []))[1].append((inode, pages))
         for fs, dirty_files in by_fs.values():
@@ -989,21 +834,12 @@ class Kernel:
                 # a failed flush must not lose the dirty state: re-register
                 # so a retry (or the next sync) writes the data
                 for inode, pages in dirty_files:
-                    self._dirty.setdefault(
-                        inode.id, (fs, inode, set()))[2].update(pages)
+                    self._dirty_pages(fs, inode).update(pages)
                 raise
 
-    def _flush_inode(self, inode_id: int) -> None:
-        entry = self._dirty.pop(inode_id, None)
-        if entry is None:
-            return
-        fs, inode, pages = entry
-        try:
-            self._writeback(fs, [(inode, pages)])
-        except Exception:
-            self._dirty.setdefault(
-                inode_id, (fs, inode, set()))[2].update(pages)
-            raise
+    def _dirty_pages(self, fs: FileSystem, inode: Inode) -> set[int]:
+        """The (registered) set of dirty page indices of ``inode``."""
+        return self._dirty.setdefault(inode.id, (fs, inode, set()))[2]
 
     def _writeback(self, fs: FileSystem,
                    dirty_files: list[tuple[Inode, set[int]]]) -> None:
@@ -1116,8 +952,7 @@ class Kernel:
         except Exception:
             # a failed flush must not lose the dirty state (parity with
             # the blocking path): re-register so a retry writes the data
-            self._dirty.setdefault(
-                inode_id, (fs, inode, set()))[2].update(pages)
+            self._dirty_pages(fs, inode).update(pages)
             raise
         self.counters.pages_written += total_pages
         if self.telemetry is not None:

@@ -37,7 +37,10 @@ class KernelCounters:
     #: library-level refetches skipped because the kernel stamp was unchanged
     sleds_refetch_skips: int = 0
     #: per-tenant cache accounting; empty until a tenanted task runs.
-    #: tenant_evictions is keyed by the *owner* of the evicted page.
+    #: tenant_evictions is keyed by the *owner* of the evicted page,
+    #: whoever caused the eviction.  Like ``evictions`` it counts the
+    #: victims of kernel inserts; a hard-capped tenant's self-evictions
+    #: happen inside the cache and are counted only in its stats.
     tenant_cache_hits: dict = field(default_factory=dict)
     tenant_cache_misses: dict = field(default_factory=dict)
     tenant_evictions: dict = field(default_factory=dict)
@@ -54,9 +57,10 @@ class KernelCounters:
         self.tenant_cache_misses[tenant] = (
             self.tenant_cache_misses.get(tenant, 0) + 1)
 
-    def note_tenant_eviction(self, owner: str | None) -> None:
-        """Attribute one eviction to the evicted page's owner (no-op for
-        untenanted victims)."""
+    def note_eviction(self, owner: str | None) -> None:
+        """Count one eviction, attributed to the evicted page's owner
+        (``PageCache.last_evicted_owner``; None for untenanted victims)."""
+        self.evictions += 1
         if owner is not None:
             self.tenant_evictions[owner] = (
                 self.tenant_evictions.get(owner, 0) + 1)

@@ -52,6 +52,8 @@ class Telemetry:
         #: device accesses awaiting a parent span: (t, name, dur, bytes, op)
         self._pending_dev: list[tuple[float, str, float, int, str]] = []
         self._observed_devices: list = []
+        #: reusable TelemetryBatch for the kernel's block-front executor
+        self._fault_batch = None
 
         r = self.registry
         self.syscalls = r.counter(
@@ -251,6 +253,16 @@ class Telemetry:
         self.syscall_latency.labels(name=open_span.name).observe(
             t - open_span.start)
         self._tick(t)
+
+    def fault_batch(self) -> "TelemetryBatch | None":
+        """The :class:`TelemetryBatch` a block-front fault batch defers
+        its ``on_fault`` calls into, or None while a time-series sampler
+        ticks (it must see the undeferred interleaving)."""
+        if self.timeseries is not None:
+            return None
+        if self._fault_batch is None:
+            self._fault_batch = TelemetryBatch(self)
+        return self._fault_batch
 
     def on_fault(self, device, inode_id: int, page: int, cluster: int,
                  seconds: float, now: float, window: int,
@@ -573,10 +585,11 @@ class Telemetry:
 class TelemetryBatch:
     """Deferred :meth:`Telemetry.on_fault` fan-in for a run batch.
 
-    The engine's batched fault path (``Kernel._fault_in_runs``) completes
-    every miss run of a span in one parked wait, then walks the
-    completions.  Calling ``on_fault`` per run from inside that walk pays
-    three metric-label resolutions and the full fan-out per fault;
+    The kernel's block-front executor (``Kernel._fault_in_async`` with
+    an active merge/plug stage) completes every fault cluster of a span
+    in one parked wait, then commits them in order.  Calling
+    ``on_fault`` per cluster from inside that walk pays three
+    metric-label resolutions and the full fan-out per fault;
     :meth:`add` instead captures the call's arguments, and :meth:`flush`
     replays them *in the original order* with the per-device-class label
     children resolved once per batch.
@@ -584,8 +597,8 @@ class TelemetryBatch:
     Replay order is the only thing that moves: ``on_fault`` neither reads
     nor writes anything the interleaved cache inserts touch, *except* the
     time-series sampler (``_tick``), whose samples would observe insert
-    counters from later runs — so the kernel only routes through a batch
-    when ``telemetry.timeseries is None``.  Readahead-insert set-adds and
+    counters from later runs — so :meth:`Telemetry.fault_batch` hands one
+    out only when ``timeseries is None``.  Readahead-insert set-adds and
     all cache-observer callbacks stay live and in place.  Metric totals,
     span order, lifecycle records, and accuracy bookkeeping are exactly
     those of the undeferred path.

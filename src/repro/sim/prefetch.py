@@ -242,10 +242,7 @@ class Prefetcher:
             cache = kernel.page_cache
             for key in keys:
                 if not cache.peek(key):
-                    if cache.insert(key, tenant) is not None:
-                        kernel.counters.evictions += 1
-                        kernel.counters.note_tenant_eviction(
-                            cache.last_evicted_owner)
+                    kernel.insert_page(key, tenant)
                     self._prefetched[key] = tenant
             if telemetry is not None:
                 telemetry.on_prefetch_complete(fs, inode.id, page, cluster,

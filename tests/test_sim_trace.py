@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.block.merge import BlockConfig
 from repro.machine import Machine
+from repro.sim.tasks import EventScheduler, Task
 from repro.sim.trace import TraceEvent, Tracer, render_timeline
 from repro.sim.units import PAGE_SIZE
 
@@ -87,15 +89,47 @@ class TestKernelIntegration:
         names = [e.detail for e in tracer.events(kind="syscall")]
         assert names == ["open", "read", "lseek", "close"]
 
-    def test_faults_traced_with_cluster_info(self):
+    def _solo_fault_trace(self, block):
+        """A solo task's fault events reading a 48-page file in 16-page
+        chunks: blocking (``block == "blocking"``) or under an engine
+        with ``block`` as its block-layer config."""
         machine, tracer = self._traced_machine()
-        machine.ext2.create_text_file("f", 16 * PAGE_SIZE, seed=1)
-        machine.kernel.warm_file("/mnt/ext2/f")
-        faults = tracer.events(kind="fault")
+        machine.ext2.create_text_file("f", 48 * PAGE_SIZE, seed=1)
+        kernel = machine.kernel
+        path = "/mnt/ext2/f"
+        if block == "blocking":
+            kernel.warm_file(path, chunk=16 * PAGE_SIZE)
+        else:
+            engine = kernel.attach_engine(block=block)
+
+            def reader():
+                fd = kernel.open(path)
+                while (yield from kernel.read_async(fd, 16 * PAGE_SIZE)):
+                    pass
+                kernel.close(fd)
+
+            EventScheduler(kernel, [Task("solo", reader())],
+                           engine=engine).run()
+        inode = kernel.stat(path).inode_id
+        return [(e.attr("page"), e.attr("cluster"), e.attr("inode") == inode,
+                 e.detail, e.duration)
+                for e in tracer.events(kind="fault")]
+
+    @pytest.mark.parametrize("block", [
+        "blocking",
+        None,  # serial engine executor
+        BlockConfig(),  # all off: still the serial executor
+        # block-front executor with no class allowed to merge
+        BlockConfig(merge=True, merge_policies={}),
+    ], ids=["blocking", "engine", "engine-block-off", "engine-block-front"])
+    def test_faults_traced_with_cluster_info(self, block):
+        faults = self._solo_fault_trace(block)
         assert faults
-        assert sum(e.attr("cluster") for e in faults) == 16
-        assert all(e.detail == "disk" for e in faults)
-        assert all(e.duration > 0 for e in faults)
+        assert sum(cluster for _, cluster, *_ in faults) == 48
+        assert all(own and detail == "disk" and duration > 0
+                   for _, _, own, detail, duration in faults)
+        # every executor commits the same clusters with the same durations
+        assert faults == self._solo_fault_trace("blocking")
 
     def test_ioctls_traced_by_command_name(self):
         machine, tracer = self._traced_machine()

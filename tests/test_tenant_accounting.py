@@ -12,6 +12,9 @@ different tenants into one dispatch.  These tests assert the fixes:
   wherever the pump happens to run;
 * per-tenant kernel counters (hits/misses/evictions) survive the
   ``ProcessRun`` copy/delta machinery and export through telemetry;
+* every kernel insert path (fault commits, the run-batched ``pread``
+  executor, ``write``/``pwrite``, prefetch completions) charges an
+  eviction to the evicted page's owner, whoever is running;
 * tenant-labeled SLO families route past-cap tenants into the
   ``_overflow`` series instead of growing without bound.
 """
@@ -337,3 +340,92 @@ class TestSloTenantFamilies:
         assert violations.labels(tenant="_overflow").value > 0
         # the rollup itself still tracks every tenant exactly
         assert len(tracker.tenant_rows()) == 10
+
+
+class TestEvictionAttribution:
+    """``KernelCounters.tenant_evictions`` is keyed by the evicted page's
+    owner whichever path evicts it and whoever is running; the page
+    cache's own per-owner tally is the reference."""
+
+    def _machine(self):
+        machine = Machine.unix_utilities(cache_pages=16, seed=3)
+        machine.boot()
+        machine.ext2.create_text_file("a", 16 * PAGE_SIZE, seed=1)
+        machine.ext2.create_text_file("b", 16 * PAGE_SIZE, seed=2)
+        kernel = machine.kernel
+        kernel.current_tenant = "a"
+        fd = kernel.open("/mnt/ext2/a")
+        kernel.read(fd, 16 * PAGE_SIZE)  # tenant a owns the whole cache
+        kernel.close(fd)
+        kernel.current_tenant = None
+        return kernel
+
+    @staticmethod
+    def _run_task(kernel, step, tenant, block=None):
+        engine = kernel.attach_engine(block=block)
+        EventScheduler(kernel, [Task("t", step, tenant=tenant)],
+                       engine=engine).run()
+
+    def _evict(self, kernel, path, tenant):
+        nbytes = 8 * PAGE_SIZE
+        if path in ("write", "pwrite"):
+            kernel.current_tenant = tenant
+            fd = kernel.open("/mnt/ext2/b", "r+")
+            if path == "write":
+                kernel.write(fd, b"x" * nbytes)
+            else:
+                kernel.pwrite(fd, 0, b"x" * nbytes)
+        elif path in ("read", "pread"):
+            kernel.current_tenant = tenant
+            fd = kernel.open("/mnt/ext2/b")
+            if path == "read":
+                kernel.read(fd, nbytes)
+            else:
+                kernel.pread(fd, 0, nbytes)
+        elif path == "prefetch":
+            engine = kernel.attach_engine()
+            prefetcher = Prefetcher(kernel, engine).attach()
+            fd = kernel.open("/mnt/ext2/b")
+            fs, inode, _ = kernel.resolve("/mnt/ext2/b")
+            kernel.current_tenant = tenant
+            prefetcher.prefetch_span(fs, inode, 0, nbytes)
+            kernel.current_tenant = None
+            engine.loop.run_until_idle()
+        else:
+            fd = kernel.open("/mnt/ext2/b")
+            block = MERGE_ALL if path.endswith("block") else None
+            if path.startswith("read_async"):
+                step = kernel.read_async(fd, nbytes)
+            else:
+                step = kernel.pread_async(fd, 0, nbytes)
+            self._run_task(kernel, step, tenant, block=block)
+        kernel.current_tenant = None
+        kernel.close(fd)
+
+    @pytest.mark.parametrize("tenant", ["b", None])
+    @pytest.mark.parametrize("path", [
+        "write", "pwrite", "read", "pread", "read_async", "pread_async",
+        "read_async_block", "pread_async_block", "prefetch"])
+    def test_kernel_tally_matches_cache(self, path, tenant):
+        kernel = self._machine()
+        self._evict(kernel, path, tenant)
+        stats = kernel.page_cache.stats
+        assert stats.tenant_evictions.get("a", 0) >= 8
+        assert kernel.counters.tenant_evictions == stats.tenant_evictions
+        assert kernel.counters.evictions == stats.evictions
+
+    def test_untenanted_batch_path_charges_owner(self):
+        """The run-batched ``pread`` executor falls back to per-page
+        inserts once tenanted pages are resident; those evictions still
+        belong to their owner."""
+        kernel = self._machine()
+        fd = kernel.open("/mnt/ext2/b")
+        kernel.pread(fd, 0, 16 * PAGE_SIZE)
+        kernel.close(fd)
+        assert kernel.counters.tenant_evictions == {"a": 16}
+        assert kernel.page_cache.stats.tenant_evictions == {"a": 16}
+
+    def test_pwrite_by_another_tenant(self):
+        kernel = self._machine()
+        self._evict(kernel, "pwrite", "b")
+        assert kernel.counters.tenant_evictions == {"a": 8}

@@ -22,10 +22,7 @@ for bit:
   the array path (asserted via a spy, so the comparison can't go
   vacuous);
 * the telemetry fan-in (``TelemetryBatch``) against immediate per-fault
-  ``on_fault`` calls, comparing whole telemetry exports;
-* the no-numpy fallback: with the batch module's numpy knocked out the
-  library still runs workloads, ``read_run`` declines, and the results
-  still match the vectorised ones.
+  ``on_fault`` calls, comparing whole telemetry exports.
 """
 
 from __future__ import annotations
@@ -320,20 +317,3 @@ def test_telemetry_fanin_identical():
     batch_dict, batch_trace = _with_batch(True, run)
     assert batch_dict == scalar_dict
     assert batch_trace == scalar_trace
-
-
-def test_scalar_fallback_without_numpy(monkeypatch):
-    """With numpy knocked out of the batch layer the library still runs
-    every workload — ``read_run`` declines, the kernel and builder take
-    their scalar reference paths, and results match the vectorised run."""
-    vector = _run("ext2", seed=3, pages=24, config=MachineConfig())
-
-    with monkeypatch.context() as m:
-        m.setattr(batch, "_np", None)
-        m.setattr(builder, "np", None)
-        assert not batch.enabled()
-        device = DiskDevice(rng=np.random.default_rng(1))
-        assert device.read_run(0, 8, PAGE_SIZE) is None
-        fallback = _run("ext2", seed=3, pages=24, config=MachineConfig())
-
-    assert fallback == vector
