@@ -827,14 +827,17 @@ class Kernel:
         for inode_id in inode_ids:
             fs, inode, pages = self._dirty.pop(inode_id)
             by_fs.setdefault(id(fs), (fs, []))[1].append((inode, pages))
-        for fs, dirty_files in by_fs.values():
+        groups = list(by_fs.values())
+        for i, (fs, dirty_files) in enumerate(groups):
             try:
                 self._writeback(fs, dirty_files)
             except Exception:
                 # a failed flush must not lose the dirty state: re-register
-                # so a retry (or the next sync) writes the data
-                for inode, pages in dirty_files:
-                    self._dirty_pages(fs, inode).update(pages)
+                # this group and every one not yet written, so a retry (or
+                # the next sync) writes the data
+                for unwritten_fs, unwritten in groups[i:]:
+                    for inode, pages in unwritten:
+                        self._dirty_pages(unwritten_fs, inode).update(pages)
                 raise
 
     def _dirty_pages(self, fs: FileSystem, inode: Inode) -> set[int]:

@@ -182,6 +182,12 @@ class Family:
         self.overflows = 0
         self._warned_overflow = False
         self._children: dict[tuple[str, ...], object] = {}
+        #: ``labels(**kv)`` memo keyed by the call's kv items; holds
+        #: real children only, never the overflow sink
+        self._memo: dict[tuple, object] = {}
+        #: ``_children`` sorted by label values; None until needed and
+        #: again whenever a child is created
+        self._sorted: list[tuple[tuple[str, ...], object]] | None = None
 
     @property
     def kind(self) -> str:
@@ -189,6 +195,16 @@ class Family:
             next(iter(self._children.values())).kind
 
     def labels(self, **kv):
+        memo_key = tuple(kv.items())
+        try:
+            return self._memo[memo_key]
+        except (KeyError, TypeError):  # TypeError: unhashable value
+            return self._resolve(kv, memo_key)
+
+    def _resolve(self, kv: dict, memo_key: tuple):
+        """The validated lookup behind :meth:`labels`.  Only all-``str``
+        values are memoised: ``1``, ``1.0`` and ``True`` are equal dict
+        keys but name different children (``"1"`` vs ``"True"``)."""
         key = self.schema.key_of(kv)
         child = self._children.get(key)
         if child is None:
@@ -196,6 +212,9 @@ class Family:
                 return self._overflow_child()
             child = self._factory()
             self._children[key] = child
+            self._sorted = None
+        if all(type(v) is str for v in kv.values()):
+            self._memo[memo_key] = child
         return child
 
     def _overflow_child(self):
@@ -213,6 +232,7 @@ class Family:
         if child is None:
             child = self._factory()
             self._children[key] = child
+            self._sorted = None
         return child
 
     # -- unlabeled convenience proxies ---------------------------------
@@ -237,10 +257,20 @@ class Family:
 
     # -- iteration ------------------------------------------------------
 
+    def sorted_items(self) -> list[tuple[tuple[str, ...], object]]:
+        """(label values, child) pairs sorted by label values.  The list
+        is shared and must not be mutated; a new list replaces it when a
+        child is created, so an unchanged identity means no new child."""
+        items = self._sorted
+        if items is None:
+            items = self._sorted = sorted(self._children.items())
+        return items
+
     def children(self) -> list[tuple[dict[str, str], object]]:
         """(labels dict, child) pairs in deterministic (sorted) order."""
-        return [(dict(zip(self.schema.names, key)), self._children[key])
-                for key in sorted(self._children)]
+        names = self.schema.names
+        return [(dict(zip(names, key)), child)
+                for key, child in self.sorted_items()]
 
 
 class MetricsRegistry:

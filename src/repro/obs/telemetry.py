@@ -266,19 +266,11 @@ class Telemetry:
 
     def on_fault(self, device, inode_id: int, page: int, cluster: int,
                  seconds: float, now: float, window: int,
-                 fs=None, completion=None, components=None,
-                 _handles=None) -> None:
+                 fs=None, completion=None, components=None) -> None:
         cls = device.time_category
-        if _handles is None:
-            # per-call label resolution; TelemetryBatch.flush memoises
-            # these three children per device class and passes them in
-            _handles = (self.faults.labels(device=cls),
-                        self.fault_latency.labels(device=cls),
-                        self.fault_cluster.labels(device=cls))
-        fault_counter, latency_hist, cluster_hist = _handles
-        fault_counter.inc()
-        latency_hist.observe(seconds)
-        cluster_hist.observe(cluster)
+        self.faults.labels(device=cls).inc()
+        self.fault_latency.labels(device=cls).observe(seconds)
+        self.fault_cluster.labels(device=cls).observe(cluster)
         self.readahead_window.set(window)
         if cluster > 1:
             self.readahead_issued.inc(cluster - 1)
@@ -587,12 +579,10 @@ class TelemetryBatch:
 
     The kernel's block-front executor (``Kernel._fault_in_async`` with
     an active merge/plug stage) completes every fault cluster of a span
-    in one parked wait, then commits them in order.  Calling
-    ``on_fault`` per cluster from inside that walk pays three
-    metric-label resolutions and the full fan-out per fault;
-    :meth:`add` instead captures the call's arguments, and :meth:`flush`
-    replays them *in the original order* with the per-device-class label
-    children resolved once per batch.
+    in one parked wait, then commits them in order.  :meth:`add` captures
+    each ``on_fault`` call's arguments from inside that walk, and
+    :meth:`flush` replays them *in the original order* once the walk is
+    done.
 
     Replay order is the only thing that moves: ``on_fault`` neither reads
     nor writes anything the interleaved cache inserts touch, *except* the
@@ -604,12 +594,11 @@ class TelemetryBatch:
     those of the undeferred path.
     """
 
-    __slots__ = ("_telemetry", "_events", "_handles")
+    __slots__ = ("_telemetry", "_events")
 
     def __init__(self, telemetry: Telemetry) -> None:
         self._telemetry = telemetry
         self._events: list = []
-        self._handles: dict = {}
 
     @property
     def telemetry(self) -> Telemetry:
@@ -627,19 +616,9 @@ class TelemetryBatch:
         events = self._events
         if not events:
             return
-        telemetry = self._telemetry
-        on_fault = telemetry.on_fault
-        handles = self._handles
+        on_fault = self._telemetry.on_fault
         for (device, inode_id, page, cluster, seconds,
              now, window, fs, completion) in events:
-            cls = device.time_category
-            h = handles.get(cls)
-            if h is None:
-                h = handles[cls] = (
-                    telemetry.faults.labels(device=cls),
-                    telemetry.fault_latency.labels(device=cls),
-                    telemetry.fault_cluster.labels(device=cls))
             on_fault(device, inode_id, page, cluster, seconds,
-                     now=now, window=window, fs=fs, completion=completion,
-                     _handles=h)
+                     now=now, window=window, fs=fs, completion=completion)
         events.clear()

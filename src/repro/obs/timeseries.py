@@ -33,7 +33,9 @@ histograms sample ``count``/``sum`` plus approximate ``p50``/``p99``
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
+from itertools import accumulate
 
 from repro.obs.metrics import Family, Histogram, MetricsRegistry, _fmt
 
@@ -49,20 +51,27 @@ def series_key(family_name: str, labels: dict[str, str]) -> str:
     return f"{family_name}{{{inner}}}"
 
 
-def _sample_child(child, sample_buckets: bool = False) -> float | dict:
-    if isinstance(child, Histogram):
-        out = {"count": child.count, "sum": child.sum,
-               "p50": child.quantile(0.50), "p99": child.quantile(0.99)}
-        if sample_buckets:
-            cum = 0
-            buckets = []
-            for bound, n in zip(child.bounds, child.counts):
-                cum += n
-                buckets.append((_fmt(bound), cum))
-            buckets.append(("+Inf", cum + child.counts[-1]))
-            out["buckets"] = tuple(buckets)
-        return out
-    return child.value
+def _histogram_sample(child: Histogram, les: tuple[str, ...] | None
+                      ) -> dict:
+    """One histogram sample: ``count``/``sum``, ``p50``/``p99`` as
+    :meth:`Histogram.quantile` computes them, and with ``les`` (the
+    bucket edge strings, ``"+Inf"`` last) the cumulative ``buckets``.
+    One ``accumulate`` pass serves both: the q-quantile is the bucket of
+    the first cumulative count ``>= q * count``, which always holds mass
+    when ``count > 0``."""
+    count = child.count
+    cum = list(accumulate(child.counts))
+    bounds = child.bounds
+    last = len(bounds) - 1
+    if count:
+        p50 = bounds[min(bisect_left(cum, 0.50 * count), last)]
+        p99 = bounds[min(bisect_left(cum, 0.99 * count), last)]
+    else:
+        p50 = p99 = 0.0
+    out = {"count": count, "sum": child.sum, "p50": p50, "p99": p99}
+    if les is not None:
+        out["buckets"] = tuple(zip(les, cum))
+    return out
 
 
 def _parse_labels(labels: str) -> dict[str, str]:
@@ -123,6 +132,12 @@ class TimeSeriesRecorder:
         self.dropped = 0
         self._next_due = 0.0
         self._started = False
+        #: per family: (its sorted_items list when the plan was built,
+        #: entries [series key, child, last histogram sample or None],
+        #: is-histogram)
+        self._plans: dict[Family, tuple[list, list, bool]] = {}
+        #: bucket edge strings per histogram bounds tuple
+        self._les: dict[tuple[float, ...], tuple[str, ...]] = {}
 
     # -- sampling ---------------------------------------------------------
 
@@ -144,18 +159,58 @@ class TimeSeriesRecorder:
 
     def sample(self, now: float) -> dict:
         """Take one sample row unconditionally (also used at run end so
-        the final state is always on the series)."""
+        the final state is always on the series).
+
+        Costs O(series) dict stores plus O(buckets) for each histogram
+        whose ``count`` moved since the last row; an unchanged
+        histogram's previous sample object is stored again, so sampled
+        values are shared between rows and must be treated as
+        immutable."""
         if self.snapshot_hook is not None:
             self.snapshot_hook()
         row: dict[str, float | dict] = {}
         for family in self._selected_families():
-            for labels, child in family.children():
-                row[series_key(family.name, labels)] = _sample_child(
-                    child, self.sample_buckets)
+            entries, histograms = self._entries(family)
+            if not histograms:
+                for key, child, _ in entries:
+                    row[key] = child.value
+                continue
+            for entry in entries:
+                _, child, last = entry
+                if last is None or last["count"] != child.count:
+                    # Histogram.observe is the only mutator and always
+                    # moves count, so an unchanged count is an unchanged
+                    # histogram
+                    last = entry[2] = _histogram_sample(
+                        child, self._le_strings(child.bounds)
+                        if self.sample_buckets else None)
+                row[entry[0]] = last
         if len(self.samples) == self.capacity:
             self.dropped += 1
         self.samples.append((now, row))
         return row
+
+    def _entries(self, family: Family) -> tuple[list, bool]:
+        """The family's cached sampling plan, rebuilt only when the
+        family has created a child since (carrying each histogram's
+        last sample over)."""
+        items = family.sorted_items()
+        plan = self._plans.get(family)
+        if plan is not None and plan[0] is items:
+            return plan[1], plan[2]
+        histograms = bool(items) and isinstance(items[0][1], Histogram)
+        names = family.schema.names
+        last = {id(e[1]): e[2] for e in plan[1]} if plan is not None else {}
+        entries = [[series_key(family.name, dict(zip(names, values))),
+                    child, last.get(id(child))] for values, child in items]
+        self._plans[family] = (items, entries, histograms)
+        return entries, histograms
+
+    def _le_strings(self, bounds: tuple[float, ...]) -> tuple[str, ...]:
+        les = self._les.get(bounds)
+        if les is None:
+            les = self._les[bounds] = (*map(_fmt, bounds), "+Inf")
+        return les
 
     def _selected_families(self) -> list[Family]:
         families = self.registry.families()
@@ -292,6 +347,7 @@ class TimeSeriesRecorder:
 
     def clear(self) -> None:
         self.samples.clear()
+        self._plans.clear()
         self.dropped = 0
         self._started = False
         self._next_due = 0.0

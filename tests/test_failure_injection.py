@@ -145,3 +145,23 @@ class TestKernelPropagation:
         k.fsync(fd)  # the retry must actually write the data
         assert k.counters.pages_written == before + 2
         k.close(fd)
+
+    def test_failed_sync_keeps_unwritten_filesystems_dirty(self):
+        """sync() flushes one filesystem at a time; when the first one's
+        writeback fails, the second one's pages must stay dirty too."""
+        machine = _machine()
+        k = machine.kernel
+        fds = []
+        for path, pages in (("/mnt/ext2/a.dat", 2), ("/mnt/nfs/b.dat", 3)):
+            fd = k.open(path, "w")
+            k.write(fd, b"z" * (pages * PAGE_SIZE))
+            fds.append(fd)
+        machine.ext2.device.inject_failures(1)
+        with pytest.raises(IoSimError):
+            k.sync()
+        machine.ext2.device.clear_failures()
+        before = k.counters.pages_written
+        k.sync()  # the retry writes both filesystems' pages
+        assert k.counters.pages_written == before + 5
+        for fd in fds:
+            k.close(fd)

@@ -190,6 +190,77 @@ class TestCardinalityCap:
             MetricsRegistry(max_label_cardinality=0)
 
 
+class TestLabelLookupCache:
+    """``Family.labels`` resolves each label combination once; the
+    cached path must behave exactly like the validated one."""
+
+    def test_same_combination_same_child(self):
+        fam = MetricsRegistry().counter("x_total", "X",
+                                        labels=("device", "op"))
+        child = fam.labels(device="disk", op="read")
+        assert fam.labels(device="disk", op="read") is child
+        assert fam.labels(op="read", device="disk") is child
+
+    def test_overflowed_combination_counts_every_lookup(self):
+        import warnings
+
+        reg = MetricsRegistry(max_label_cardinality=1)
+        fam = reg.counter("reads_total", "Reads", labels=("device",))
+        fam.labels(device="a").inc()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(3):
+                fam.labels(device="b").inc()
+        assert fam.overflows == 3
+        values = {labels["device"]: child.value
+                  for labels, child in fam.children()}
+        assert values == {"a": 1.0, "_overflow": 3.0}
+        # the child created before the cap filled is still served
+        assert fam.labels(device="a").value == 1.0
+        assert fam.overflows == 3
+
+    def test_schema_mismatch_still_raises_after_caching(self):
+        fam = MetricsRegistry().counter("x_total", "X", labels=("device",))
+        fam.labels(device="disk")
+        with pytest.raises(ValueError):
+            fam.labels(dev="disk")
+        with pytest.raises(ValueError):
+            fam.labels(device="disk", op="read")
+
+    def test_non_str_values_stringify_as_before(self):
+        fam = MetricsRegistry().counter("x_total", "X", labels=("device",))
+        fam.labels(device=1).inc()
+        fam.labels(device="1").inc()
+        fam.labels(device=True).inc()
+        fam.labels(device=1.0).inc()
+        fam.labels(device=1).inc()
+        values = {labels["device"]: child.value
+                  for labels, child in fam.children()}
+        # 1, 1.0 and True are equal dict keys but distinct label values
+        assert values == {"1": 3.0, "1.0": 1.0, "True": 1.0}
+
+    def test_unhashable_value_stringifies_as_before(self):
+        fam = MetricsRegistry().counter("x_total", "X", labels=("device",))
+        fam.labels(device=["a", "b"]).inc()
+        fam.labels(device=["a", "b"]).inc()
+        assert [(labels, child.value) for labels, child in fam.children()] \
+            == [({"device": "['a', 'b']"}, 2.0)]
+
+    def test_sorted_items_replaced_only_on_child_creation(self):
+        fam = MetricsRegistry().counter("x_total", "X", labels=("device",))
+        fam.labels(device="d")
+        fam.labels(device="b")
+        items = fam.sorted_items()
+        assert [key for key, _ in items] == [("b",), ("d",)]
+        fam.labels(device="d").inc()
+        assert fam.sorted_items() is items
+        fam.labels(device="c")
+        assert [key for key, _ in fam.sorted_items()] == [
+            ("b",), ("c",), ("d",)]
+        assert [labels["device"] for labels, _ in fam.children()] == [
+            "b", "c", "d"]
+
+
 class TestExposition:
     def _registry(self):
         reg = MetricsRegistry(namespace="repro")

@@ -3,10 +3,12 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.machine import Machine
 from repro.obs import Telemetry, TimeSeriesRecorder
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, _fmt
 from repro.obs.timeseries import series_key
 from repro.sim.units import MB
 
@@ -126,6 +128,97 @@ class TestSampling:
         assert len(ts) == 0 and ts.dropped == 0
         # cadence re-anchors after clear
         assert ts.tick(50.0) is True
+
+
+class TestIncrementalSampling:
+    """The sampler re-derives only what changed since the last row."""
+
+    def test_child_created_later_lands_in_sorted_position(self):
+        reg = _registry()
+        reads = reg.get("reads_total")
+        reads.labels(device="b").inc()
+        reads.labels(device="d").inc()
+        ts = TimeSeriesRecorder(reg)
+        ts.sample(0.0)
+        reads.labels(device="c").inc(2)
+        row = ts.sample(1.0)
+        assert [key for key in row if key.startswith("reads_total")] == [
+            series_key("reads_total", {"device": dev}) for dev in "bcd"]
+        assert row[series_key("reads_total", {"device": "c"})] == 2.0
+
+    def test_unchanged_histogram_sample_is_shared(self):
+        reg = _registry()
+        lat = reg.get("lat_seconds")
+        lat.observe(0.05)
+        ts = TimeSeriesRecorder(reg, sample_buckets=True)
+        first = ts.sample(0.0)["lat_seconds"]
+        reg.get("depth").set(2)
+        assert ts.sample(1.0)["lat_seconds"] is first
+        lat.observe(0.5)
+        third = ts.sample(2.0)["lat_seconds"]
+        assert third is not first
+        assert third["count"] == 2 and first["count"] == 1
+        assert third["buckets"][-1] == ("+Inf", 2)
+
+    def test_sample_survives_new_sibling_child(self):
+        reg = MetricsRegistry()
+        lat = reg.histogram("lat_seconds", "L", labels=("device",),
+                            buckets=(0.1, 1.0))
+        lat.labels(device="b").observe(0.05)
+        ts = TimeSeriesRecorder(reg)
+        key = series_key("lat_seconds", {"device": "b"})
+        first = ts.sample(0.0)[key]
+        lat.labels(device="a").observe(0.5)
+        row = ts.sample(1.0)
+        assert row[key] is first
+        assert list(row) == [series_key("lat_seconds", {"device": "a"}),
+                             key]
+
+    def test_clear_drops_the_memo(self):
+        reg = _registry()
+        reg.get("lat_seconds").observe(0.05)
+        ts = TimeSeriesRecorder(reg)
+        before = ts.sample(0.0)["lat_seconds"]
+        ts.clear()
+        after = ts.sample(1.0)["lat_seconds"]
+        assert after == before and after is not before
+
+
+def _old_buckets(child) -> tuple:
+    """The per-bucket cumulative loop the sampler used to run."""
+    cum = 0
+    buckets = []
+    for bound, n in zip(child.bounds, child.counts):
+        cum += n
+        buckets.append((_fmt(bound), cum))
+    buckets.append(("+Inf", cum + child.counts[-1]))
+    return tuple(buckets)
+
+
+BOUNDS = (0.001, 0.01, 0.1, 1.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.one_of(st.just(0), st.integers(0, 50)),
+                       min_size=len(BOUNDS) + 1, max_size=len(BOUNDS) + 1))
+@example(counts=[0, 0, 0, 0, 0, 0])            # empty histogram
+@example(counts=[0, 0, 0, 0, 0, 7])            # all mass in +Inf
+@example(counts=[3, 0, 0, 0, 0, 3])            # zero run between buckets
+@example(counts=[1, 0, 1, 0, 0, 0])            # 0.5 * count == a boundary
+@example(counts=[99, 0, 0, 1, 0, 0])           # 0.99 * count == a boundary
+@example(counts=[0, 0, 0, 0, 4, 0])            # all mass in the last bound
+def test_sampled_histogram_matches_quantile_and_loop(counts):
+    reg = MetricsRegistry()
+    child = reg.histogram("lat_seconds", "L", buckets=BOUNDS).labels()
+    child.counts = list(counts)
+    child.count = sum(counts)
+    child.sum = 0.5 * child.count
+    value = TimeSeriesRecorder(reg, sample_buckets=True).sample(0.0)[
+        "lat_seconds"]
+    assert value["count"] == child.count and value["sum"] == child.sum
+    assert value["p50"] == child.quantile(0.50)
+    assert value["p99"] == child.quantile(0.99)
+    assert value["buckets"] == _old_buckets(child)
 
 
 class TestOpenMetrics:
