@@ -1,8 +1,10 @@
 """Core throughput benchmark: hot-structure rewrite + vectorised faults.
 
-Two deterministic workloads, each run under the pre-PR-7 reference
-backends (``MachineConfig(residency="sets", event_loop="heap")``) and
-under the tuned defaults (interval runs + calendar queue):
+Two deterministic workloads, each run on the reference structures the
+core rewrite replaced (the ``SetResidency`` + ``HeapEventLoop`` test
+oracles, swapped in by :func:`tests.oracles.oracle_backends`) and on the
+production ones (``RunResidency`` interval runs + calendar-queue
+``EventLoop``):
 
 * **sled_refetch** — striding concurrent readers over a cold ext2 file
   with merge + plug on, requesting a fresh SLED vector before *every*
@@ -39,14 +41,19 @@ the committed baseline and enforced in CI by the calibrated
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
+from typing import Callable, NamedTuple
 
 from repro.bench.results import publish_bench
 from repro.block.merge import BlockConfig
-from repro.machine import Machine, MachineConfig
+from repro.cache.residency import RunResidency
+from repro.machine import Machine
 from repro.obs.profile import HotPathProfiler
 from repro.obs.telemetry import Telemetry
+from repro.sim.events import EventLoop
 from repro.sim.tasks import EventScheduler, Task
 from repro.sim.units import PAGE_SIZE
+from tests.oracles import HeapEventLoop, SetResidency, oracle_backends
 
 SEED = 7077
 
@@ -70,8 +77,19 @@ BUDGET_FAULTS_PER_S = 250_000
 #: inviting CI flake)
 MIN_SPEEDUP = 1.5
 
-REFERENCE = MachineConfig(residency="sets", event_loop="heap")
-TUNED = MachineConfig()
+
+
+class Backends(NamedTuple):
+    """One side of the comparison: a context that machines are built
+    inside, and the structure types it must produce."""
+
+    build: Callable
+    residency: type
+    event_loop: type
+
+
+REFERENCE = Backends(oracle_backends, SetResidency, HeapEventLoop)
+TUNED = Backends(nullcontext, RunResidency, EventLoop)
 
 
 def _refetch_readers(kernel):
@@ -89,14 +107,18 @@ def _refetch_readers(kernel):
     return [Task(f"r{i}", reader(i)) for i in range(READERS)]
 
 
-def _run_sled_refetch(config: MachineConfig) -> dict:
-    machine = Machine.unix_utilities(cache_pages=REFETCH_FILE_PAGES * 2,
-                                     seed=SEED, config=config)
-    machine.boot()
-    machine.ext2.create_text_file("bench.dat",
-                                  REFETCH_FILE_PAGES * PAGE_SIZE, seed=1)
-    kernel = machine.kernel
-    engine = kernel.attach_engine(block=BlockConfig(merge=True, plug=True))
+def _run_sled_refetch(backends: Backends) -> dict:
+    with backends.build():
+        machine = Machine.unix_utilities(
+            cache_pages=REFETCH_FILE_PAGES * 2, seed=SEED)
+        machine.boot()
+        machine.ext2.create_text_file("bench.dat",
+                                      REFETCH_FILE_PAGES * PAGE_SIZE, seed=1)
+        kernel = machine.kernel
+        engine = kernel.attach_engine(
+            block=BlockConfig(merge=True, plug=True))
+    assert type(kernel.page_cache._index) is backends.residency
+    assert type(engine.loop) is backends.event_loop
 
     start = kernel.clock.now
     wall_start = time.perf_counter()
@@ -110,11 +132,13 @@ def _run_sled_refetch(config: MachineConfig) -> dict:
     }
 
 
-def _run_fault_storm(config: MachineConfig,
+def _run_fault_storm(backends: Backends,
                      profiler: HotPathProfiler | None = None,
                      telemetry: bool = False) -> dict:
-    machine = Machine.unix_utilities(cache_pages=STORM_CACHE_PAGES,
-                                     seed=SEED, config=config)
+    with backends.build():
+        machine = Machine.unix_utilities(cache_pages=STORM_CACHE_PAGES,
+                                         seed=SEED)
+    assert type(machine.kernel.page_cache._index) is backends.residency
     machine.boot()
     machine.ext2.create_text_file("storm.dat",
                                   STORM_FILE_PAGES * PAGE_SIZE, seed=1)
@@ -160,7 +184,7 @@ def _storm_site_breakdown() -> dict:
 
     tele_prof = HotPathProfiler()
     machine = Machine.unix_utilities(cache_pages=REFETCH_FILE_PAGES * 2,
-                                     seed=SEED, config=TUNED)
+                                     seed=SEED)
     machine.boot()
     machine.ext2.create_text_file("bench.dat",
                                   REFETCH_FILE_PAGES * PAGE_SIZE, seed=1)
@@ -226,10 +250,10 @@ def test_core_throughput_record():
                         "(sets+heap reference vs runs+bucket) and a "
                         "sequential fault storm; virtual-time results "
                         "gate, wall clock exempt"),
-        "reference_config": {"residency": REFERENCE.residency,
-                             "event_loop": REFERENCE.event_loop},
-        "tuned_config": {"residency": TUNED.residency,
-                         "event_loop": TUNED.event_loop},
+        "reference_config": {"residency": REFERENCE.residency.__name__,
+                             "event_loop": REFERENCE.event_loop.__name__},
+        "tuned_config": {"residency": TUNED.residency.__name__,
+                         "event_loop": TUNED.event_loop.__name__},
         "sled_refetch": {
             "file_pages": REFETCH_FILE_PAGES,
             "readers": READERS,

@@ -23,14 +23,13 @@ import time
 import numpy as np
 
 from repro.bench.results import publish_bench
-
-from repro.core.builder import build_sled_vector_full_walk
 from repro.devices.disk import DiskDevice
 from repro.fs.filesystem import Ext2Like
 from repro.kernel.ioctl import FSLEDS_FILL
 from repro.kernel.kernel import Kernel
 from repro.sim.rng import RngStreams
 from repro.sim.units import MB, PAGE_SIZE
+from tests.oracles import build_sled_vector_full_walk
 
 SIZES_PAGES = [1024, 4096, 16384, 65536]
 REFETCHES = 16
@@ -91,7 +90,7 @@ def test_refetch_estimate_calls_drop_to_zero():
         kernel, fs, fd, inode = _world(npages)
         counter = EstimateCallCounter(fs)
         kernel.get_sleds(fd)
-        resident = len(kernel.page_cache.resident_set(inode.id))
+        resident = kernel.page_cache.resident_count(inode.id, npages)
         # the rebuild asks per gap between resident intervals, never per page
         assert counter.page_calls == 0
         assert counter.span_calls <= resident + 1
@@ -115,7 +114,7 @@ def test_rebuild_after_change_is_o_runs():
     kernel.get_sleds(fd)
     kernel.get_sleds(fd)
     assert kernel.counters.sleds_builds == builds_before + 1
-    resident = len(kernel.page_cache.resident_set(inode.id))
+    resident = kernel.page_cache.resident_count(inode.id, inode.npages)
     assert 0 < counter.total() <= 2 * resident + 1
 
 
@@ -142,7 +141,8 @@ def test_wallclock_scaling_and_record():
         rows.append({
             "npages": npages,
             "refetches": REFETCHES,
-            "resident_pages": len(kernel.page_cache.resident_set(inode.id)),
+            "resident_pages": kernel.page_cache.resident_count(inode.id,
+                                                               npages),
             "sleds": len(vector),
             "estimate_calls_first_build": build_calls,
             "estimate_calls_per_refetch": refetch_calls // REFETCHES,

@@ -16,17 +16,15 @@ Two access styles matter:
   SLEDs describe.
 
 For the SLED builder the cache additionally maintains a per-inode
-*residency index* (pluggable — sorted interval runs by default, an
-optional numpy bitmap, or the plain-set reference; see
-:mod:`repro.cache.residency`) and a per-inode *generation*: a
-monotonically increasing counter bumped on every insert, eviction, or
-invalidation that changes the inode's residency.  The run-based index
-makes per-inode queries — :meth:`resident_runs`, :meth:`resident_count`,
-:meth:`resident_pages`, :meth:`invalidate_inode` — O(runs) instead of
-O(pages) or O(cache-size); the generation is the cache half of the stamp
-that lets the kernel serve repeated ``FSLEDS_GET`` requests without
-re-walking the file (see :mod:`repro.core.builder` and
-``docs/performance.md``).
+*residency index* of sorted interval runs (:mod:`repro.cache.residency`)
+and a per-inode *generation*: a monotonically increasing counter bumped
+on every insert, eviction, or invalidation that changes the inode's
+residency.  The run index makes per-inode queries —
+:meth:`resident_runs`, :meth:`resident_count`, :meth:`invalidate_inode`
+— O(runs) instead of O(pages) or O(cache-size); the generation is the
+cache half of the stamp that lets the kernel serve repeated
+``FSLEDS_GET`` requests without re-walking the file (see
+:mod:`repro.core.builder` and ``docs/performance.md``).
 
 Multi-tenancy
 -------------
@@ -58,9 +56,7 @@ from dataclasses import dataclass, field
 
 from repro.cache.policies import (LruPolicy, PageKey, ReplacementPolicy,
                                   make_policy)
-from repro.cache.residency import make_residency
-
-_EMPTY_PAGES: frozenset[int] = frozenset()
+from repro.cache.residency import RunResidency
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,6 @@ class PageCache:
     def __init__(self, capacity_pages: int,
                  policy: str | ReplacementPolicy = "lru",
                  max_pinned_fraction: float = 0.9,
-                 residency: str = "runs",
                  shards: int = 1,
                  tenant_limits: dict[str, TenantMemoryLimit] | None = None,
                  rebalance_every: int = 1024) -> None:
@@ -181,8 +176,8 @@ class PageCache:
         self._inserts_since_rebalance = 0
         self._resident: set[PageKey] = set()
         self._pinned: set[PageKey] = set()
-        #: per-inode residency index backend (runs | bitmap | sets)
-        self._index = make_residency(residency)
+        #: per-inode residency index (sorted interval runs)
+        self._index = RunResidency()
         #: per-inode residency generation; entries survive full eviction so
         #: a generation never moves backwards for a given inode id
         self._generations: dict[int, int] = {}
@@ -213,11 +208,6 @@ class PageCache:
     def nshards(self) -> int:
         return self._nshards
 
-    @property
-    def residency_kind(self) -> str:
-        """Which residency index backend this cache runs on."""
-        return self._index.kind
-
     def _shard_of(self, key: PageKey) -> _Shard:
         return self._shards[key[0] % self._nshards]
 
@@ -239,18 +229,11 @@ class PageCache:
         with no interleaving bump guarantee identical residency."""
         return self._generations.get(inode_id, 0)
 
-    def resident_set(self, inode_id: int) -> frozenset[int]:
-        """The inode's resident page indices, as a fresh frozenset.
-
-        O(resident-in-inode) materialisation; prefer :meth:`resident_runs`
-        on hot paths — a densely resident inode is only a few runs."""
-        return self._index.pages(inode_id)
-
     def resident_runs(self, inode_id: int,
                       npages: int) -> list[tuple[int, int]]:
         """Sorted resident ``[start, end)`` page runs clipped to
         ``[0, npages)`` — the shape the SLED interval-merge builder
-        consumes.  O(runs) on the run/bitmap backends."""
+        consumes.  O(runs)."""
         profiler = self.profiler
         if profiler is None:
             return self._index.runs(inode_id, npages)
@@ -259,16 +242,10 @@ class PageCache:
         profiler.add("cache.resident_runs", t0)
         return runs
 
-    def resident_pages(self, inode_id: int, npages: int) -> list[bool]:
-        """Residency bitmap for the first ``npages`` pages of an inode.
-
-        O(runs + npages) output fill, no per-page membership probes."""
-        return self._index.bitmap(inode_id, npages)
-
     def resident_count(self, inode_id: int, npages: int) -> int:
         """Number of the inode's first ``npages`` pages currently cached.
 
-        O(runs) on the run backend (O(1) when the whole index fits)."""
+        O(runs) (O(1) when the whole index fits)."""
         return self._index.count(inode_id, npages)
 
     def tenant_resident_count(self, tenant: str) -> int:

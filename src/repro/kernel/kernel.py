@@ -115,8 +115,6 @@ class Kernel:
                  readahead_max_pages: int = 16,
                  writeback_threshold_pages: int = 256,
                  io_scheduler="clook",
-                 residency: str = "runs",
-                 event_loop: str = "bucket",
                  cache_shards: int = 1,
                  tenant_limits=None) -> None:
         if noise < 0:
@@ -127,12 +125,8 @@ class Kernel:
         self.clock = VirtualClock()
         self.memory = memory or MemoryDevice()
         self.page_cache = PageCache(cache_pages, policy,
-                                    residency=residency,
                                     shards=cache_shards,
                                     tenant_limits=tenant_limits)
-        #: which event-loop implementation attach_engine builds
-        #: ("bucket" calendar queue, or the reference "heap")
-        self.event_loop_kind = event_loop
         self.sleds_table = SledTable()
         self.counters = KernelCounters()
         self.rng = rng or RngStreams()

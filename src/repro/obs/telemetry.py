@@ -450,7 +450,7 @@ class Telemetry:
         queue_by_page = None
         if fs is not None and inode is not None and queue_delays:
             # split each non-resident page's predicted latency into its
-            # queue term (what resolve_estimate folded in) and the rest,
+            # queue term (what build_sled_vector folded in) and the rest,
             # so fault-time errors attribute to queue vs. service
             cache = self._kernel.page_cache if self._kernel else None
             queue_by_page = {}

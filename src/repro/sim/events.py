@@ -10,22 +10,19 @@ This module supplies the missing time model:
   to the event's category); events at equal timestamps fire in FIFO
   submission order, which is what makes concurrent runs reproducible bit
   for bit.
-* :class:`HeapEventLoop` — the original single-binary-heap implementation,
-  kept as the reference for the old-vs-new property tests and the
-  core-throughput benchmark baseline.
 * :class:`IoFuture` — the completion handle tasks block on.  A future is
   resolved (or failed) from inside an event callback; registered waiters
   are notified in registration order.
 
 The calendar queue keeps one FIFO deque per distinct timestamp plus a
-binary heap of the raw timestamps (floats compare at C speed, unlike
-``Event.__lt__``), and a dedicated *now deque* for events scheduled at the
-current clock reading — the ``at_now`` fast path that plugged dispatch
-chains hit on every flush.  Ordering stays exactly ``(time, seq)``:
-within a deque, arrival order *is* seq order, and any heap bucket at time
-``T`` was populated while the clock was strictly before ``T``, so its
-events always carry smaller seqs than now-deque events at ``T`` and must
-drain first.
+binary heap of the raw timestamps (floats compare at C speed; events
+themselves are never compared), and a dedicated *now deque* for events
+scheduled at the current clock reading — the ``at_now`` fast path that
+plugged dispatch chains hit on every flush.  Ordering stays exactly
+``(time, seq)``: within a deque, arrival order *is* seq order, and any
+heap bucket at time ``T`` was populated while the clock was strictly
+before ``T``, so its events always carry smaller seqs than now-deque
+events at ``T`` and must drain first.
 
 Cancellation is eager where O(1) (either end of a deque) and lazily
 compacted otherwise, so cancelled events no longer rot in the queue, and
@@ -33,12 +30,15 @@ compacted otherwise, so cancelled events no longer rot in the queue, and
 
 Nothing here reads wall-clock time or draws randomness: given the same
 submission sequence, two runs replay the identical event order.
+
+The single-binary-heap loop this one replaced lives on as a test oracle
+(``tests/oracles/events.py``); ``tests/test_sim_events_property.py``
+replays randomized schedules against both.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from time import perf_counter
 from typing import Callable
@@ -48,7 +48,7 @@ from repro.sim.errors import InvalidArgumentError
 
 
 class Event:
-    """One scheduled callback; compare by ``(time, seq)`` for heap order."""
+    """One scheduled callback, ordered by ``(time, seq)``."""
 
     __slots__ = ("time", "seq", "callback", "category", "cancelled", "_q")
 
@@ -62,9 +62,6 @@ class Event:
         #: the deque currently holding this event (None once popped);
         #: lets cancel() unlink eagerly when the event sits at either end
         self._q: deque[Event] | None = None
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -94,8 +91,6 @@ class EventLoop:
     queued (a task charging CPU between steps), they migrate to a regular
     bucket first.
     """
-
-    kind = "bucket"
 
     def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
@@ -352,103 +347,6 @@ class EventLoop:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"EventLoop(now={self.clock.now:.6f}, pending={self.pending})"
-
-
-class HeapEventLoop:
-    """The pre-calendar-queue event loop: one binary heap of events.
-
-    Kept verbatim as the *reference implementation* for the old-vs-new
-    property tests (``tests/test_sim_events_property.py``) and as the
-    baseline side of ``benchmarks/test_perf_core_throughput.py``.
-    Cancellation is lazy (cancelled events rot in the heap until popped)
-    and ``pending`` is an O(n) scan — exactly the costs the calendar
-    queue removes.
-    """
-
-    kind = "heap"
-
-    def __init__(self, clock: VirtualClock) -> None:
-        self.clock = clock
-        self._heap: list[Event] = []
-        self._seq = itertools.count()
-        self._fired = 0
-        self.profiler = None
-
-    def at(self, time: float, callback: Callable[[], None],
-           category: str = "wait") -> Event:
-        if time < self.clock.now:
-            raise InvalidArgumentError(
-                f"cannot schedule event in the past: {time} < "
-                f"{self.clock.now}")
-        event = Event(time, next(self._seq), callback, category)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def after(self, delay: float, callback: Callable[[], None],
-              category: str = "wait") -> Event:
-        if delay < 0:
-            raise InvalidArgumentError(f"negative delay: {delay}")
-        return self.at(self.clock.now + delay, callback, category)
-
-    def cancel(self, event: Event) -> None:
-        event.cancelled = True
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
-
-    @property
-    def fired(self) -> int:
-        return self._fired
-
-    def peek_time(self) -> float | None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
-
-    def step(self) -> bool:
-        profiler = self.profiler
-        t0 = perf_counter() if profiler is not None else 0.0
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            if event.time > self.clock.now:
-                self.clock.advance_to(event.time, event.category)
-            self._fired += 1
-            event.callback()
-            if profiler is not None:
-                profiler.add("event_loop.dispatch", t0)
-            return True
-        return False
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
-        fired = 0
-        while self.step():
-            fired += 1
-            if fired > max_events:
-                raise RuntimeError(
-                    f"event loop exceeded {max_events} events; "
-                    f"likely a rescheduling cycle")
-        return fired
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"HeapEventLoop(now={self.clock.now:.6f}, "
-                f"pending={self.pending})")
-
-
-EVENT_LOOP_KINDS = ("bucket", "heap")
-
-
-def make_event_loop(kind: str, clock: VirtualClock):
-    """Build an event loop by kind: ``bucket`` (default) or ``heap``."""
-    if kind == "bucket":
-        return EventLoop(clock)
-    if kind == "heap":
-        return HeapEventLoop(clock)
-    raise InvalidArgumentError(
-        f"unknown event loop kind {kind!r}; expected one of "
-        f"{EVENT_LOOP_KINDS}")
 
 
 class IoFuture:

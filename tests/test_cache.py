@@ -152,11 +152,11 @@ class TestPageCache:
         assert cache.clear() == 1
         assert len(cache) == 0
 
-    def test_resident_pages_bitmap(self):
+    def test_resident_runs_skip_holes(self):
         cache = PageCache(4)
         cache.insert((1, 0))
         cache.insert((1, 2))
-        assert cache.resident_pages(1, 4) == [True, False, True, False]
+        assert cache.resident_runs(1, 4) == [(0, 1), (2, 3)]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -184,7 +184,9 @@ class TestPageCache:
                 cache.insert(key)
         # every resident page is tracked and peekable
         for inode in range(3):
-            for page, resident in enumerate(cache.resident_pages(inode, 16)):
+            runs = cache.resident_runs(inode, 16)
+            for page in range(16):
+                resident = any(start <= page < end for start, end in runs)
                 assert resident == cache.peek((inode, page))
 
 
@@ -245,11 +247,11 @@ class TestResidencyIndex:
         for p in (0, 3, 5):
             cache.insert((1, p))
         cache.insert((2, 1))
-        assert cache.resident_set(1) == {0, 3, 5}
-        assert cache.resident_set(2) == {1}
-        assert cache.resident_set(9) == frozenset()
+        assert cache.resident_runs(1, 8) == [(0, 1), (3, 4), (5, 6)]
+        assert cache.resident_runs(2, 8) == [(1, 2)]
+        assert cache.resident_runs(9, 8) == []
         cache.invalidate((1, 3))
-        assert cache.resident_set(1) == {0, 5}
+        assert cache.resident_runs(1, 8) == [(0, 1), (5, 6)]
 
     @given(st.lists(st.tuples(
         st.sampled_from(["insert", "access", "invalidate", "inode"]),
@@ -272,7 +274,10 @@ class TestResidencyIndex:
             rebuilt = {}
             for key in cache._resident:
                 rebuilt.setdefault(key[0], set()).add(key[1])
-            indexed = {inode_id: set(cache._index.pages(inode_id))
+            indexed = {inode_id: {page
+                                  for start, end
+                                  in cache._index.runs(inode_id, 16)
+                                  for page in range(start, end)}
                        for inode_id in cache._index.inodes()}
             assert rebuilt == indexed
 

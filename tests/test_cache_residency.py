@@ -1,14 +1,13 @@
-"""Property tests: the three residency backends are interchangeable.
+"""Property tests: the residency index against a model and an oracle.
 
-``RunResidency`` (interval runs), ``BitmapResidency`` (numpy), and
-``SetResidency`` (the pre-PR-7 reference) must answer every query
-identically under any legal update sequence — that is what lets
-:class:`~repro.machine.MachineConfig` swap them without perturbing a
-single virtual-time result.  A pure-python model (dict of sets) provides
-the ground truth; a second test drives whole :class:`PageCache`
-instances, one per backend, through an identical churn script and
-demands identical observable state (residency, runs, counts, bitmaps,
-generations, eviction stats).
+:class:`~repro.cache.residency.RunResidency` (interval runs) and the
+:class:`~tests.oracles.residency.SetResidency` oracle (the pre-run
+per-page sets) must answer every query identically under any legal
+update sequence.  A pure-python model (dict of sets) provides the ground
+truth; a second test drives two whole :class:`PageCache` instances — the
+production one and one whose index is swapped for the oracle — through
+an identical churn script and demands identical observable state
+(residency runs, counts, generations, eviction stats).
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ import random
 import pytest
 
 from repro.cache.page_cache import PageCache
-from repro.cache.residency import RESIDENCY_KINDS, make_residency
+from repro.cache.residency import RunResidency
+from tests.oracles import SetResidency, oracle_backends
 
 SEEDS = range(6)
 OPS = 600
@@ -34,7 +34,6 @@ def _check_against_model(backends, model):
                                        if pages}
         for inode_id in INODES:
             pages = model.get(inode_id, set())
-            assert index.pages(inode_id) == frozenset(pages)
             for npages in npages_probes:
                 clipped = sorted(p for p in pages if p < npages)
                 runs: list[tuple[int, int]] = []
@@ -45,15 +44,12 @@ def _check_against_model(backends, model):
                         runs.append((page, page + 1))
                 assert index.runs(inode_id, npages) == runs
                 assert index.count(inode_id, npages) == len(clipped)
-                assert index.bitmap(inode_id, npages) == [
-                    p in pages for p in range(npages)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_backends_match_model(seed):
-    assert set(RESIDENCY_KINDS) == {"runs", "bitmap", "sets"}
     rng = random.Random(seed)
-    backends = [make_residency(kind) for kind in RESIDENCY_KINDS]
+    backends = [RunResidency(), SetResidency()]
     model: dict[int, set[int]] = {}
 
     for op in range(OPS):
@@ -91,10 +87,15 @@ def test_backends_match_model(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_page_caches_agree_across_backends(seed):
-    """Whole caches on different backends stay observably identical."""
+    """A production cache and an oracle-indexed one stay observably
+    identical."""
     rng = random.Random(seed)
-    caches = [PageCache(48, policy="lru", residency=kind)
-              for kind in RESIDENCY_KINDS]
+    with oracle_backends():
+        reference = PageCache(48, policy="lru")
+    cache = PageCache(48, policy="lru")
+    assert type(reference._index) is SetResidency
+    assert type(cache._index) is RunResidency
+    caches = [reference, cache]
 
     for _ in range(OPS):
         roll = rng.random()
@@ -117,20 +118,14 @@ def test_page_caches_agree_across_backends(seed):
         else:
             assert len({cache.unpin(key) for cache in caches}) == 1
 
-    reference = caches[0]
-    for cache in caches[1:]:
-        assert len(cache) == len(reference)
-        assert cache.stats.hits == reference.stats.hits
-        assert cache.stats.misses == reference.stats.misses
-        assert cache.stats.evictions == reference.stats.evictions
-        for inode_id in INODES:
-            assert (cache.resident_set(inode_id)
-                    == reference.resident_set(inode_id))
-            assert (cache.resident_runs(inode_id, MAX_PAGE)
-                    == reference.resident_runs(inode_id, MAX_PAGE))
-            assert (cache.resident_pages(inode_id, MAX_PAGE)
-                    == reference.resident_pages(inode_id, MAX_PAGE))
-            assert (cache.resident_count(inode_id, MAX_PAGE)
-                    == reference.resident_count(inode_id, MAX_PAGE))
-            assert (cache.generation(inode_id)
-                    == reference.generation(inode_id))
+    assert len(cache) == len(reference)
+    assert cache.stats.hits == reference.stats.hits
+    assert cache.stats.misses == reference.stats.misses
+    assert cache.stats.evictions == reference.stats.evictions
+    for inode_id in INODES:
+        assert (cache.resident_runs(inode_id, MAX_PAGE)
+                == reference.resident_runs(inode_id, MAX_PAGE))
+        assert (cache.resident_count(inode_id, MAX_PAGE)
+                == reference.resident_count(inode_id, MAX_PAGE))
+        assert (cache.generation(inode_id)
+                == reference.generation(inode_id))

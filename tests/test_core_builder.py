@@ -5,15 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.page_cache import PageCache
-from repro.core.builder import (
-    build_sled_vector,
-    build_sled_vector_full_walk,
-    page_level,
-)
+from repro.core.builder import build_sled_vector
 from repro.core.sled_table import SledTable
 from repro.devices.disk import DiskDevice
 from repro.fs.filesystem import Ext2Like
 from repro.sim.units import MB, PAGE_SIZE
+from tests.oracles import build_sled_vector_full_walk, page_level
 
 import numpy as np
 

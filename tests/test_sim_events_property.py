@@ -1,8 +1,9 @@
 """Property test: the calendar-queue loop is bit-identical to the heap loop.
 
-The PR-7 :class:`~repro.sim.events.EventLoop` (calendar queue, eager
+The :class:`~repro.sim.events.EventLoop` (calendar queue, eager
 cancellation, ``at_now`` fast path) must preserve the exact virtual-time
-semantics of the original :class:`~repro.sim.events.HeapEventLoop`:
+semantics of the original binary-heap loop, kept as the
+:class:`~tests.oracles.events.HeapEventLoop` oracle:
 same fired sequence (tag, timestamp, clock reading), same per-category
 clock charges, same ``pending`` and ``peek_time`` at every checkpoint —
 under randomized schedules with heavy same-timestamp ties, cancellations
@@ -21,7 +22,8 @@ import random
 import pytest
 
 from repro.sim.clock import VirtualClock
-from repro.sim.events import EVENT_LOOP_KINDS, make_event_loop
+from repro.sim.events import EventLoop
+from tests.oracles import HeapEventLoop
 
 SEEDS = range(10)
 OPS_PER_SEED = 400
@@ -30,11 +32,11 @@ DELAYS = (0.0, 0.0, 0.001, 0.001, 0.001, 0.0025, 0.005)
 CATEGORIES = ("disk", "cpu", "nfs-net", "wait")
 
 
-def _drive(kind: str, seed: int) -> tuple[list, dict, int]:
+def _drive(loop_cls, seed: int) -> tuple[list, dict, int]:
     """Run one seeded random schedule; return (trace, charges, fired)."""
     rng = random.Random(seed)
     clock = VirtualClock()
-    loop = make_event_loop(kind, clock)
+    loop = loop_cls(clock)
     trace: list = []
     tags: list = []          # tag -> Event handle, in creation order
     live_tags: list[int] = []  # tags believed schedulable/cancellable
@@ -96,9 +98,8 @@ def _drive(kind: str, seed: int) -> tuple[list, dict, int]:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_bucket_loop_matches_heap_loop(seed):
-    assert set(EVENT_LOOP_KINDS) == {"bucket", "heap"}
-    heap_trace, heap_charges, heap_fired = _drive("heap", seed)
-    bucket_trace, bucket_charges, bucket_fired = _drive("bucket", seed)
+    heap_trace, heap_charges, heap_fired = _drive(HeapEventLoop, seed)
+    bucket_trace, bucket_charges, bucket_fired = _drive(EventLoop, seed)
     assert bucket_fired == heap_fired
     assert bucket_charges == heap_charges
     assert bucket_trace == heap_trace
@@ -107,7 +108,7 @@ def test_bucket_loop_matches_heap_loop(seed):
 def test_bucket_pending_is_exact_under_cancellation():
     """The O(1) live counter tracks schedule/cancel/fire exactly."""
     clock = VirtualClock()
-    loop = make_event_loop("bucket", clock)
+    loop = EventLoop(clock)
     events = [loop.at(0.001 * (i % 5), lambda: None) for i in range(50)]
     assert loop.pending == 50
     for event in events[::3]:
@@ -123,7 +124,7 @@ def test_bucket_pending_is_exact_under_cancellation():
 def test_bucket_compaction_sweeps_mid_deque_cancels():
     """Mid-deque cancellations trigger compaction and stay exact."""
     clock = VirtualClock()
-    loop = make_event_loop("bucket", clock)
+    loop = EventLoop(clock)
     fired_tags: list[int] = []
     events = [loop.at(0.5, (lambda i=i: fired_tags.append(i)))
               for i in range(300)]

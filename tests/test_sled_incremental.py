@@ -4,15 +4,15 @@ bit-identical to the paper's literal full-page walk.
 For ext2- (flat and zone-aware), NFS- (server SLEDs + server cache), and
 HSM-backed files, a randomized interleaving of reads, writes, drops,
 migrations, and repeated ``get_sleds`` calls must never produce a vector
-that differs from :func:`build_sled_vector_full_walk` recomputed from
-scratch at the same instant — whether the kernel answered from its
-generation-stamped cache or rebuilt via ``span_estimates``.
+that differs from the :func:`~tests.oracles.build_sled_vector_full_walk`
+oracle recomputed from scratch at the same instant — whether the kernel
+answered from its generation-stamped cache or rebuilt via
+``span_estimates``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.builder import build_sled_vector_full_walk
 from repro.devices.autochanger import Autochanger
 from repro.devices.disk import DiskDevice, Zone
 from repro.devices.network import NfsDevice
@@ -24,6 +24,7 @@ from repro.kernel.ioctl import FSLEDS_FILL
 from repro.kernel.kernel import Kernel
 from repro.sim.rng import RngStreams
 from repro.sim.units import KB, MB, PAGE_SIZE
+from tests.oracles import build_sled_vector_full_walk
 
 import numpy as np
 

@@ -10,10 +10,11 @@ once forcing the scalar reference — and asserts the results match bit
 for bit:
 
 * full workloads (async striding readers + a blocking fault storm)
-  across all four filesystem personalities and all three residency
-  backends, fingerprinting the clock, per-category charges, fault
-  counters, per-task stats, per-device stats/component totals, and the
-  final SLED vector;
+  across all four filesystem personalities, on the production
+  structures and on the oracle residency index + event loop
+  (:func:`tests.oracles.oracle_backends`), fingerprinting the clock,
+  per-category charges, fault counters, per-task stats, per-device
+  stats/component totals, and the final SLED vector;
 * the per-device batch kernels against a scalar read loop over
   randomized run layouts — durations, running stats, busy horizon,
   component totals, and rng stream alignment;
@@ -28,14 +29,16 @@ for bit:
 from __future__ import annotations
 
 import itertools
+from contextlib import nullcontext
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.block.merge import BlockConfig
+from repro.cache.residency import RunResidency
 from repro.core import builder
-from repro.core.builder import build_sled_vector, build_sled_vector_full_walk
+from repro.core.builder import build_sled_vector
 from repro.devices import batch
 from repro.devices.cdrom import CdromDevice
 from repro.devices.disk import DiskDevice
@@ -43,18 +46,15 @@ from repro.devices.flash import FlashDevice
 from repro.devices.memory import MemoryDevice
 from repro.devices.network import NfsDevice
 from repro.fs import inode as inode_mod
-from repro.machine import Machine, MachineConfig
+from repro.machine import Machine
 from repro.obs.telemetry import Telemetry
+from repro.sim.events import EventLoop
 from repro.sim.tasks import EventScheduler, Task
 from repro.sim.units import PAGE_SIZE
+from tests.oracles import (HeapEventLoop, SetResidency,
+                           build_sled_vector_full_walk, oracle_backends)
 
 PROFILES = ("ext2", "cdrom", "nfs", "hsm")
-
-CONFIGS = (
-    MachineConfig(residency="sets", event_loop="heap"),    # pre-PR-7
-    MachineConfig(residency="runs", event_loop="bucket"),  # tuned default
-    MachineConfig(residency="bitmap", event_loop="bucket"),
-)
 
 MERGE_ALL = BlockConfig(merge=True, plug=True)
 
@@ -69,15 +69,14 @@ def _with_batch(flag, fn, *args):
         batch.set_enabled(None)
 
 
-def _setup(profile: str, seed: int, pages: int, config: MachineConfig):
+def _setup(profile: str, seed: int, pages: int):
     if profile == "hsm":
         machine = Machine.hsm(cache_pages=256, stage_pages=512,
-                              seed=13000 + seed, config=config)
+                              seed=13000 + seed)
         machine.boot()
         machine.hsmfs.create_tape_file("f", pages * PAGE_SIZE, "VOL000")
         return machine, "/mnt/hsm/f"
-    machine = Machine.unix_utilities(cache_pages=256, seed=13000 + seed,
-                                     config=config)
+    machine = Machine.unix_utilities(cache_pages=256, seed=13000 + seed)
     machine.boot()
     fs = {"ext2": machine.ext2, "cdrom": machine.cdrom,
           "nfs": machine.nfs}[profile]
@@ -127,10 +126,15 @@ def _fingerprint(machine, stats):
     )
 
 
-def _run(profile: str, seed: int, pages: int, config: MachineConfig):
-    machine, path = _setup(profile, seed, pages, config)
-    kernel = machine.kernel
-    engine = kernel.attach_engine(block=MERGE_ALL)
+def _run(profile: str, seed: int, pages: int, oracle: bool):
+    index_type, loop_type = ((SetResidency, HeapEventLoop) if oracle
+                             else (RunResidency, EventLoop))
+    with oracle_backends() if oracle else nullcontext():
+        machine, path = _setup(profile, seed, pages)
+        kernel = machine.kernel
+        engine = kernel.attach_engine(block=MERGE_ALL)
+    assert type(kernel.page_cache._index) is index_type
+    assert type(engine.loop) is loop_type
     tasks = _striding_readers(kernel, path, pages)
     stats = EventScheduler(kernel, tasks, engine=engine).run()
     # blocking storm phase: sequential re-read sweeps drive the
@@ -153,12 +157,12 @@ def _run(profile: str, seed: int, pages: int, config: MachineConfig):
 @given(seed=st.integers(0, 50), pages=st.integers(2, 40))
 def test_vectorised_workloads_bit_identical(seed, pages):
     for profile in PROFILES:
-        for config in CONFIGS:
-            scalar = _with_batch(False, _run, profile, seed, pages, config)
-            vector = _with_batch(True, _run, profile, seed, pages, config)
+        for oracle in (True, False):
+            scalar = _with_batch(False, _run, profile, seed, pages, oracle)
+            vector = _with_batch(True, _run, profile, seed, pages, oracle)
             assert vector == scalar, (
-                f"{profile}/{config.residency}+{config.event_loop}: "
-                f"vectorised fault path diverged from the scalar reference")
+                f"{profile} (oracle backends: {oracle}): vectorised fault "
+                f"path diverged from the scalar reference")
 
 
 DEVICE_FACTORIES = (
@@ -206,7 +210,7 @@ def _sled_inputs(profile: str):
     """A machine whose file has an alternating residency pattern wide
     enough (32 resident runs) that ``build_sled_vector`` takes the
     array path."""
-    machine, path = _setup(profile, seed=7, pages=256, config=MachineConfig())
+    machine, path = _setup(profile, seed=7, pages=256)
     kernel = machine.kernel
     fd = kernel.open(path)
     for chunk in range(0, 256, 8):
@@ -269,8 +273,7 @@ def test_sled_build_random_residency_identical(mask):
     """Randomized residency layouts: whatever pattern of resident pages
     the workload leaves behind, the three builders agree exactly."""
     pages = len(mask)
-    machine, path = _setup("ext2", seed=11, pages=pages,
-                           config=MachineConfig())
+    machine, path = _setup("ext2", seed=11, pages=pages)
     kernel = machine.kernel
     fd = kernel.open(path)
     for page, resident in enumerate(mask):
@@ -297,8 +300,7 @@ def test_telemetry_fanin_identical():
         saved = inode_mod._inode_ids
         inode_mod._inode_ids = itertools.count(1_000_000)
         try:
-            machine, path = _setup("ext2", seed=5, pages=96,
-                                   config=MachineConfig())
+            machine, path = _setup("ext2", seed=5, pages=96)
             kernel = machine.kernel
             telemetry = Telemetry()
             telemetry.attach(kernel)
