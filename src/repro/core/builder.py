@@ -21,18 +21,12 @@ itself perturb the cache recency the SLEDs describe.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cache.page_cache import PageCache
 from repro.core.sled import Sled, SledVector
 from repro.core.sled_table import SledTable
-from repro.devices import batch
 from repro.fs.filesystem import FileSystem
 from repro.fs.inode import Inode
 from repro.sim.units import PAGE_SIZE
-
-#: below this many runs the scalar fold is faster than numpy dispatch
-_VECTOR_MIN_RUNS = 16
 
 
 def _emit(levels: list[tuple[int, tuple[float, float]]],
@@ -59,36 +53,6 @@ def _emit(levels: list[tuple[int, tuple[float, float]]],
     return SledVector(sleds, file_size=size)
 
 
-def _emit_arrays(counts: list[int], lats: list[float], bws: list[float],
-                 size: int) -> SledVector:
-    """:func:`_emit` on flat per-run arrays — one numpy pass.
-
-    Exact-equality contract (why this is bit-identical to ``_emit``):
-
-    * group boundaries come from elementwise ``!=`` on the latency and
-      bandwidth arrays — the same IEEE comparisons the scalar fold makes
-      (``==`` is transitive for the non-NaN floats used here, so
-      comparing adjacent runs is equivalent to comparing each run
-      against its group head);
-    * byte offsets are ``int64`` page-count prefix sums times
-      ``PAGE_SIZE`` — integer arithmetic, no rounding anywhere.
-    """
-    run_pages = np.asarray(counts, dtype=np.int64)
-    lat = np.asarray(lats)
-    bw = np.asarray(bws)
-    heads = np.flatnonzero(
-        np.concatenate(([True], (lat[1:] != lat[:-1]) | (bw[1:] != bw[:-1]))))
-    page_starts = np.concatenate(
-        ([0], np.add.accumulate(run_pages)))[heads] * PAGE_SIZE
-    ends = np.append(page_starts[1:], size)
-    return SledVector(
-        [Sled(int(offset), int(end - offset), float(latency),
-              float(bandwidth))
-         for offset, end, latency, bandwidth
-         in zip(page_starts, ends, lat[heads], bw[heads])],
-        file_size=size)
-
-
 def build_sled_vector(cache: PageCache, fs: FileSystem, inode: Inode,
                       table: SledTable,
                       queue_delays: dict[str, float] | None = None,
@@ -106,23 +70,16 @@ def build_sled_vector(cache: PageCache, fs: FileSystem, inode: Inode,
     of non-resident runs by the current wait behind each device's queue;
     resident (memory-level) runs are untouched — cached pages don't queue.
 
-    The walk collects flat per-run arrays (page counts, base latencies,
-    queue extras, bandwidths); with numpy available the queue-delay add
-    and the same-level merge run as single array passes
-    (:func:`_emit_arrays`), bit-identical to the scalar fold — the add
-    is the same one IEEE operation per run, just batched.  Small
-    vectors (< ``_VECTOR_MIN_RUNS`` runs) and the ``SLEDS_NO_VECTOR``
-    escape hatch take the scalar fold.
+    The walk appends one ``(pages, (latency, bandwidth))`` level per
+    run in file order and :func:`_emit` folds them into SLEDs.
     """
     size = inode.size
     if size == 0:
         return SledVector([], file_size=0)
     npages = inode.npages
     row = table.memory
-    counts: list[int] = []
-    base_lats: list[float] = []
-    extras: list[float] = []
-    bws: list[float] = []
+    memory_level = (row.latency, row.bandwidth)
+    levels: list[tuple[int, tuple[float, float]]] = []
 
     def gap(start: int, n: int) -> None:
         for run_pages, estimate in fs.span_estimates(inode, start, n):
@@ -137,30 +94,14 @@ def build_sled_vector(cache: PageCache, fs: FileSystem, inode: Inode,
                     latency = fallback.latency
                 if bandwidth is None:
                     bandwidth = fallback.bandwidth
-            counts.append(run_pages)
-            base_lats.append(latency)
-            extras.append(extra)
-            bws.append(bandwidth)
+            levels.append((run_pages, (latency + extra, bandwidth)))
 
     cursor = 0
     for start, end in cache.resident_runs(inode.id, npages):
         if start > cursor:
             gap(cursor, start - cursor)
-        counts.append(end - start)
-        base_lats.append(row.latency)
-        extras.append(0.0)
-        bws.append(row.bandwidth)
+        levels.append((end - start, memory_level))
         cursor = end
     if cursor < npages:
         gap(cursor, npages - cursor)
-    if len(counts) >= _VECTOR_MIN_RUNS and batch.enabled():
-        # x + 0.0 is bitwise x for the positive latencies involved, so
-        # memory runs (extra pinned to 0.0) survive the batched add
-        return _emit_arrays(
-            counts, np.asarray(base_lats) + np.asarray(extras), bws, size)
-    return _emit(
-        [(run_pages, (latency + extra, bandwidth))
-         for run_pages, latency, extra, bandwidth
-         in zip(counts, base_lats, extras, bws)],
-        size)
-
+    return _emit(levels, size)

@@ -149,8 +149,6 @@ class Kernel:
         #: and, with an engine attached, the per-device congestion epochs)
         #: — moves, making refetch O(changed-state) instead of O(file-pages)
         self._sled_cache: dict[int, tuple[tuple, SledVector]] = {}
-        #: optional event tracer (see repro.sim.trace); None = no tracing
-        self.tracer = None
         #: optional telemetry facade (see repro.obs.telemetry); None = off.
         #: Every telemetry hook below is purely observational: attached or
         #: not, virtual timings are bit-identical.
@@ -232,13 +230,6 @@ class Kernel:
     # accounting helpers
     # ------------------------------------------------------------------
 
-    def attach_tracer(self, tracer) -> None:
-        """Start recording events into ``tracer`` (repro.sim.trace)."""
-        self.tracer = tracer
-
-    def detach_tracer(self) -> None:
-        self.tracer = None
-
     def attach_telemetry(self, telemetry) -> None:
         """Attach a :class:`repro.obs.telemetry.Telemetry` (after mounting,
         so it can observe every filesystem's devices)."""
@@ -274,12 +265,9 @@ class Kernel:
         """Applications charge their processing time here."""
         self.clock.advance(seconds, "cpu")
 
-    def _syscall(self, name: str = "syscall") -> None:
+    def _syscall(self) -> None:
         self.counters.syscalls += 1
         self.clock.advance(self.syscall_overhead, "cpu")
-        if self.tracer is not None:
-            self.tracer.emit(self.clock.now, "syscall", name,
-                             self.syscall_overhead)
 
     def _charge_memory(self, nbytes: int) -> None:
         self.clock.advance(self.memory.read(0, nbytes), "memory")
@@ -331,7 +319,7 @@ class Kernel:
     @_syscall_span("open")
     def open(self, path: str, mode: str = "r") -> int:
         """Open ``path``; modes ``r``, ``r+``, ``w``, ``a``."""
-        self._syscall("open")
+        self._syscall()
         if mode not in ("r", "r+", "w", "a"):
             raise InvalidArgumentError(f"unsupported open mode {mode!r}")
         writable = mode != "r"
@@ -375,7 +363,7 @@ class Kernel:
 
     @_syscall_span("close")
     def close(self, fd: int) -> None:
-        self._syscall("close")
+        self._syscall()
         of = self._fd(fd)
         self._flush_inode(of.inode.id)
         del self._fds[fd]
@@ -383,7 +371,7 @@ class Kernel:
     @_syscall_span("unlink")
     def unlink(self, path: str) -> None:
         """Remove a file, its cached pages, and pending dirty state."""
-        self._syscall("unlink")
+        self._syscall()
         fs, inode, rel = self.resolve(path)
         if inode.is_dir:
             raise IsADirectorySimError(path)
@@ -395,7 +383,7 @@ class Kernel:
 
     @_syscall_span("stat")
     def stat(self, path: str) -> StatResult:
-        self._syscall("stat")
+        self._syscall()
         fs, inode, _ = self.resolve(path)
         self._charge_metadata(fs)
         return StatResult(path=path, size=inode.size,
@@ -404,7 +392,7 @@ class Kernel:
     @_syscall_span("listdir")
     def listdir(self, path: str) -> list[str]:
         """Names in a directory, including any mount points grafted there."""
-        self._syscall("listdir")
+        self._syscall()
         fs, inode, _ = self.resolve(path)
         self._charge_metadata(fs)
         if not inode.is_dir:
@@ -422,7 +410,7 @@ class Kernel:
 
     @_syscall_span("lseek")
     def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> int:
-        self._syscall("lseek")
+        self._syscall()
         of = self._fd(fd)
         if whence == SEEK_SET:
             new = offset
@@ -442,7 +430,7 @@ class Kernel:
     @_syscall_span("read")
     def read(self, fd: int, nbytes: int) -> bytes:
         """Read up to ``nbytes`` at the current position."""
-        of, offset, nbytes = self._read_span("read", fd, None, nbytes)
+        of, offset, nbytes = self._read_span(fd, None, nbytes)
         if nbytes:
             self._fault_in(of, offset, nbytes)
         return self._deliver(of, offset, nbytes)
@@ -450,17 +438,17 @@ class Kernel:
     @_syscall_span("pread")
     def pread(self, fd: int, offset: int, nbytes: int) -> bytes:
         """Positional read; does not move the file offset or readahead."""
-        of, offset, nbytes = self._read_span("pread", fd, offset, nbytes)
+        of, offset, nbytes = self._read_span(fd, offset, nbytes)
         if nbytes:
             self._fault_in(of, offset, nbytes, use_readahead=False)
         return self._deliver(of, offset, nbytes, positional=True)
 
-    def _read_span(self, name: str, fd: int, offset: int | None,
+    def _read_span(self, fd: int, offset: int | None,
                    nbytes: int) -> tuple[OpenFile, int, int]:
         """Charge a read syscall and validate it: ``(open file, offset,
         length clamped to end of file)``; ``offset=None`` reads at the
         file position."""
-        self._syscall(name)
+        self._syscall()
         if nbytes < 0 or (offset is not None and offset < 0):
             raise InvalidArgumentError(
                 f"negative read length: {nbytes}" if offset is None
@@ -534,17 +522,14 @@ class Kernel:
     def _commit(self, of: OpenFile, page: int, cluster: int, window: int,
                 seconds: float, completion=None, components=None,
                 tele_batch=None) -> None:
-        """Charge one cluster read in ``seconds``, report it to the tracer
-        and telemetry (or defer it into ``tele_batch``), insert it."""
+        """Charge one cluster read in ``seconds``, report it to telemetry
+        (or defer it into ``tele_batch``), insert it."""
         counters = self.counters
         counters.pages_read += cluster
         counters.readahead_pages += cluster - 1
         inode_id = of.inode.id
         fs = of.fs
         now = self.clock.now
-        if self.tracer is not None:
-            self.tracer.emit(now, "fault", fs.device.time_category, seconds,
-                             page=page, cluster=cluster, inode=inode_id)
         telemetry = self.telemetry
         if tele_batch is not None:
             tele_batch.add(fs.device, inode_id, page, cluster, seconds,
@@ -573,7 +558,7 @@ class Kernel:
         no readahead advice, observer, tenant or noise side effects, and
         reads only through the stock extent-run path."""
         return (not use_readahead and self.telemetry is None
-                and self.tracer is None and self.prefetcher is None
+                and self.prefetcher is None
                 and self.current_tenant is None and self.noise <= 0.0
                 and self.page_cache.observer is None
                 and device_batch.enabled()
@@ -668,14 +653,14 @@ class Kernel:
         attached engine's device queues while other tasks run.  The
         accounting is the blocking ``read``'s; only *who waits* differs.
         """
-        of, offset, nbytes = self._read_span("read", fd, None, nbytes)
+        of, offset, nbytes = self._read_span(fd, None, nbytes)
         if nbytes:
             yield from self._fault_in_async(of, offset, nbytes)
         return self._deliver(of, offset, nbytes)
 
     def pread_async(self, fd: int, offset: int, nbytes: int):
         """Positional ``read_async``; no offset motion, no readahead."""
-        of, offset, nbytes = self._read_span("pread", fd, offset, nbytes)
+        of, offset, nbytes = self._read_span(fd, offset, nbytes)
         if nbytes:
             yield from self._fault_in_async(of, offset, nbytes,
                                             use_readahead=False)
@@ -737,24 +722,23 @@ class Kernel:
         accounting), but delivering bytes costs only a per-page touch
         rather than a bcopy of every byte.
         """
-        self._syscall("mmap")
+        self._syscall()
         of = self._fd(fd)
         return MappedRegion(self, of)
 
     @_syscall_span("write")
     def write(self, fd: int, data: bytes) -> int:
-        return self._write("write", fd, None, data)
+        return self._write(fd, None, data)
 
     @_syscall_span("pwrite")
     def pwrite(self, fd: int, offset: int, data: bytes) -> int:
         """Positional write; does not move the file offset."""
-        return self._write("pwrite", fd, offset, data)
+        return self._write(fd, offset, data)
 
-    def _write(self, name: str, fd: int, offset: int | None,
-               data: bytes) -> int:
+    def _write(self, fd: int, offset: int | None, data: bytes) -> int:
         """The body of ``write`` (``offset=None``: at the file position,
         which it then advances) and ``pwrite``."""
-        self._syscall(name)
+        self._syscall()
         of = self._fd(fd)
         if not of.writable:
             raise BadFileDescriptorError(f"fd {fd} not open for writing")
@@ -798,7 +782,7 @@ class Kernel:
 
     @_syscall_span("fsync")
     def fsync(self, fd: int) -> None:
-        self._syscall("fsync")
+        self._syscall()
         of = self._fd(fd)
         self._flush_inode(of.inode.id)
 
@@ -895,7 +879,7 @@ class Kernel:
         under the elevator) and the caller blocks on their completions.
         Drive with ``yield from kernel.fsync_async(fd)``.
         """
-        self._syscall("fsync")
+        self._syscall()
         of = self._fd(fd)
         yield from self._writeback_async(of.inode.id)
 
@@ -974,7 +958,7 @@ class Kernel:
         span = (tele.syscall_begin(name, self.clock.now)
                 if tele is not None else None)
         try:
-            self._syscall(name)
+            self._syscall()
             if cmd == FSLEDS_FILL:
                 if not isinstance(arg, dict):
                     raise InvalidArgumentError(

@@ -44,7 +44,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from repro.obs.lifecycle import LifecycleRecord, critical_path
+from repro.obs.lifecycle import (LifecycleRecord, closing_residual,
+                                 critical_path)
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.sim.units import human_time
 
@@ -288,29 +289,10 @@ class BlameEngine:
     def _close(parts: dict[str, float],
                latency: float) -> dict[str, float]:
         """Close the vector so its ``fsum`` equals ``latency`` exactly;
-        the correction lands in ``queue:untracked`` (same iterative
-        residual scheme as the lifecycle record closure — ``fsum`` is
-        correctly rounded, so insertion order is irrelevant)."""
+        the correction lands in ``queue:untracked``."""
         parts = {name: seconds for name, seconds in parts.items()
                  if seconds != 0.0}
-        values = list(parts.values())
-        residual = latency - math.fsum(values)
-        err = latency - math.fsum([*values, residual])
-        for _ in range(4):
-            if err == 0.0:
-                break
-            residual += err
-            err = latency - math.fsum([*values, residual])
-        # ``residual += err`` oscillates when the exact sum sits exactly
-        # halfway between two doubles (round-half-even flips the side
-        # each pass); a one-ulp nudge of the tiny residual breaks the
-        # tie without visibly moving the vector
-        for _ in range(8):
-            if err == 0.0:
-                break
-            residual = math.nextafter(
-                residual, math.inf if err > 0.0 else -math.inf)
-            err = latency - math.fsum([*values, residual])
+        residual = closing_residual(list(parts.values()), latency)
         if residual != 0.0:
             parts[_UNTRACKED] = residual
         return parts

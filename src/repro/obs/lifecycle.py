@@ -40,6 +40,7 @@ __all__ = [
     "CriticalPathReport",
     "LifecycleRecord",
     "LifecycleTracker",
+    "closing_residual",
     "component_delta",
     "critical_path",
     "snapshot_components",
@@ -99,6 +100,25 @@ def _normalize(delta: dict[str, float], kind: str) -> dict[str, float]:
     return out
 
 
+def closing_residual(values: list[float], latency: float) -> float:
+    """The residual ``r`` for which ``math.fsum([*values, r]) == latency``
+    holds exactly (``fsum`` is correctly rounded, so order is irrelevant).
+
+    ``r += err`` converges in a step or two, but oscillates when the
+    exact sum sits halfway between two doubles (round-half-even flips
+    the side each pass); after four such steps, one-ulp nudges of the
+    tiny residual break the tie without visibly moving the breakdown.
+    """
+    residual = latency - math.fsum(values)
+    for step in range(12):
+        err = latency - math.fsum([*values, residual])
+        if err == 0.0:
+            break
+        residual = (residual + err if step < 4 else
+                    math.nextafter(residual, math.copysign(math.inf, err)))
+    return residual
+
+
 def _close(parts: dict[str, float], queue_wait: float,
            latency: float) -> tuple[tuple[str, float], ...]:
     """Close the breakdown so ``fsum([queue_wait, *components])`` equals
@@ -106,13 +126,7 @@ def _close(parts: dict[str, float], queue_wait: float,
     (kernel noise multiplier + any float daylight)."""
     parts = {name: seconds for name, seconds in parts.items()
              if seconds != 0.0}
-    values = list(parts.values())
-    residual = latency - math.fsum([queue_wait, *values])
-    for _ in range(4):
-        err = latency - math.fsum([queue_wait, *values, residual])
-        if err == 0.0:
-            break
-        residual += err
+    residual = closing_residual([queue_wait, *parts.values()], latency)
     if residual != 0.0:
         parts["noise"] = residual
     return tuple(sorted(parts.items()))

@@ -98,14 +98,28 @@ class SloTarget:
         return 1.0 - self.compliance_target
 
 
-class _TargetState:
-    """Accumulated grading for one target."""
+class _SloState:
+    """Rolling-window grading of one target, or of one tenant rolled up
+    across every target that graded its records.
 
-    __slots__ = ("target", "window", "violations_window", "total",
-                 "violations", "latency_sum", "queue_wait_sum", "worst")
+    The caller decides whether a request violated and passes the error
+    budget it was graded against; the burn rate divides the windowed
+    violation rate by the smallest budget seen.  A target's budget is
+    its own; a tenant's record counts as violated when it missed *any*
+    matched target and is graded against the strictest budget among
+    them, so a burn above 1.0 means at least one objective is
+    overspending.
+    """
 
-    def __init__(self, target: SloTarget, window: int) -> None:
+    __slots__ = ("target", "tenant", "window", "violations_window",
+                 "total", "violations", "latency_sum", "queue_wait_sum",
+                 "worst", "min_budget")
+
+    def __init__(self, window: int, target: SloTarget | None = None,
+                 tenant: str | None = None) -> None:
+        #: the graded target, or None for a tenant rollup
         self.target = target
+        self.tenant = tenant
         #: (latency, violated) pairs of the most recent requests
         self.window: deque[tuple[float, bool]] = deque(maxlen=window)
         self.violations_window = 0
@@ -116,9 +130,10 @@ class _TargetState:
         #: the forensic interference matrix reconciles its rows against
         self.queue_wait_sum = 0.0
         self.worst = 0.0
+        self.min_budget = 1.0
 
-    def observe(self, latency: float, queue_wait: float = 0.0) -> bool:
-        violated = latency > self.target.latency_objective
+    def observe(self, latency: float, violated: bool,
+                budget: float, queue_wait: float = 0.0) -> None:
         if (len(self.window) == self.window.maxlen
                 and self.window[0][1]):
             self.violations_window -= 1
@@ -131,7 +146,8 @@ class _TargetState:
         self.queue_wait_sum += queue_wait
         if latency > self.worst:
             self.worst = latency
-        return violated
+        if budget < self.min_budget:
+            self.min_budget = budget
 
     # -- derived ----------------------------------------------------------
 
@@ -154,105 +170,24 @@ class _TargetState:
         if not self.window:
             return 0.0
         rate = self.violations_window / len(self.window)
-        return rate / self.target.error_budget
-
-    def quantile(self, q: float) -> float:
-        return window_quantile([lat for lat, _ in self.window], q)
-
-    def to_dict(self) -> dict:
-        t = self.target
-        return {
-            "name": t.name,
-            "cls": t.cls,
-            "tenant": t.tenant,
-            "latency_objective_s": t.latency_objective,
-            "compliance_target": t.compliance_target,
-            "requests": self.total,
-            "violations": self.violations,
-            "compliance": self.compliance,
-            "window_requests": len(self.window),
-            "window_violations": self.violations_window,
-            "window_compliance": self.window_compliance,
-            "burn_rate": self.burn_rate,
-            "p50_s": self.quantile(0.50),
-            "p99_s": self.quantile(0.99),
-            "mean_latency_s": (self.latency_sum / self.total
-                               if self.total else 0.0),
-            "queue_wait_sum_s": self.queue_wait_sum,
-            "worst_latency_s": self.worst,
-        }
-
-
-class _TenantState:
-    """Accumulated grading for one tenant, rolled up across every target
-    that graded its records.
-
-    A record counts as violated when it missed *any* matched target;
-    the burn rate divides the windowed violation rate by the strictest
-    (smallest) error budget among the targets that graded this tenant,
-    so a burn above 1.0 means at least one objective is overspending.
-    """
-
-    __slots__ = ("tenant", "window", "violations_window", "total",
-                 "violations", "latency_sum", "queue_wait_sum", "worst",
-                 "min_budget")
-
-    def __init__(self, tenant: str, window: int) -> None:
-        self.tenant = tenant
-        self.window: deque[tuple[float, bool]] = deque(maxlen=window)
-        self.violations_window = 0
-        self.total = 0
-        self.violations = 0
-        self.latency_sum = 0.0
-        #: cumulative queue-wait seconds of this tenant's graded
-        #: requests; the interference matrix's per-victim row total
-        #: must reconcile with this pool
-        self.queue_wait_sum = 0.0
-        self.worst = 0.0
-        self.min_budget = 1.0
-
-    def observe(self, latency: float, violated: bool,
-                budget: float, queue_wait: float = 0.0) -> None:
-        if (len(self.window) == self.window.maxlen
-                and self.window[0][1]):
-            self.violations_window -= 1
-        self.window.append((latency, violated))
-        if violated:
-            self.violations_window += 1
-            self.violations += 1
-        self.total += 1
-        self.latency_sum += latency
-        self.queue_wait_sum += queue_wait
-        if latency > self.worst:
-            self.worst = latency
-        if budget < self.min_budget:
-            self.min_budget = budget
-
-    @property
-    def compliance(self) -> float:
-        if self.total == 0:
-            return 1.0
-        return 1.0 - self.violations / self.total
-
-    @property
-    def window_compliance(self) -> float:
-        if not self.window:
-            return 1.0
-        return 1.0 - self.violations_window / len(self.window)
-
-    @property
-    def burn_rate(self) -> float:
-        if not self.window:
-            return 0.0
-        rate = self.violations_window / len(self.window)
         return rate / self.min_budget
 
     def quantile(self, q: float) -> float:
         return window_quantile([lat for lat, _ in self.window], q)
 
     def to_dict(self) -> dict:
-        return {
-            "tenant": self.tenant,
+        t = self.target
+        if t is None:
+            row = {"tenant": self.tenant}
+        else:
+            row = {
+                "name": t.name,
+                "cls": t.cls,
+                "tenant": t.tenant,
+                "latency_objective_s": t.latency_objective,
+                "compliance_target": t.compliance_target,
+            }
+        row.update({
             "requests": self.total,
             "violations": self.violations,
             "compliance": self.compliance,
@@ -260,14 +195,18 @@ class _TenantState:
             "window_violations": self.violations_window,
             "window_compliance": self.window_compliance,
             "burn_rate": self.burn_rate,
-            "min_error_budget": self.min_budget,
+        })
+        if t is None:
+            row["min_error_budget"] = self.min_budget
+        row.update({
             "p50_s": self.quantile(0.50),
             "p99_s": self.quantile(0.99),
             "mean_latency_s": (self.latency_sum / self.total
                                if self.total else 0.0),
             "queue_wait_sum_s": self.queue_wait_sum,
             "worst_latency_s": self.worst,
-        }
+        })
+        return row
 
 
 class SloTracker:
@@ -292,7 +231,7 @@ class SloTracker:
             raise ValueError(f"duplicate SLO target names: {names}")
         if window <= 0:
             raise ValueError(f"window must be positive: {window}")
-        self.states = {t.name: _TargetState(t, window)
+        self.states = {t.name: _SloState(window, target=t)
                        for t in targets}
         self.unmatched = 0
         #: callables invoked as ``hook(record, violated_target_names)``
@@ -304,9 +243,9 @@ class SloTracker:
         self.on_violation: list = []
         self.track_tenants = track_tenants
         self._window = window
-        #: tenant -> _TenantState rollup (populated only when
+        #: tenant -> rollup state (populated only when
         #: ``track_tenants`` and tenanted records flow)
-        self._tenants: dict[str, _TenantState] = {}
+        self._tenants: dict[str, _SloState] = {}
         self._telemetry = None
         self._graded = self._violated = self._burn = None
         self._tenant_graded = self._tenant_violated = None
@@ -373,14 +312,16 @@ class SloTracker:
         violated_names: list[str] = []
         min_budget = 1.0
         for state in self.states.values():
-            if not state.target.matches(record):
+            target = state.target
+            if not target.matches(record):
                 continue
             matched = True
-            violated = state.observe(latency, queue_wait)
-            budget = state.target.error_budget
+            violated = latency > target.latency_objective
+            budget = target.error_budget
+            state.observe(latency, violated, budget, queue_wait)
             if budget < min_budget:
                 min_budget = budget
-            name = state.target.name
+            name = target.name
             if violated:
                 violated_names.append(name)
             if self._graded is not None:
@@ -394,8 +335,8 @@ class SloTracker:
             tenant = record.tenant
             state = self._tenants.get(tenant)
             if state is None:
-                state = self._tenants[tenant] = _TenantState(
-                    tenant, self._window)
+                state = self._tenants[tenant] = _SloState(
+                    self._window, tenant=tenant)
             state.observe(latency, bool(violated_names), min_budget,
                           queue_wait)
             if self._tenant_graded is not None:

@@ -18,10 +18,12 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.machine import Machine
 from repro.obs import Telemetry, critical_path
-from repro.obs.lifecycle import LifecycleRecord
+from repro.obs.lifecycle import LifecycleRecord, _close
 from repro.sim.tasks import EventScheduler, Task, reader_task_async
 from repro.sim.units import PAGE_SIZE
 
@@ -54,7 +56,38 @@ def _run_traced(machine: Machine):
     return telemetry, start, end, stats
 
 
+@st.composite
+def _breakdowns(draw):
+    """(components, queue_wait, latency) with the latency a measured
+    total would have: the parts' sum, scaled by a small noise factor
+    and moved a few ulps by float daylight."""
+    seconds = st.floats(1e-9, 1e-2)
+    components = {f"c{i}": value for i, value in enumerate(
+        draw(st.lists(seconds, min_size=1, max_size=6)))}
+    queue_wait = draw(st.sampled_from([0.0]) | seconds)
+    latency = math.fsum([queue_wait, *components.values()])
+    latency *= draw(st.sampled_from([1.0]) | st.floats(1.0, 1.05))
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        latency = math.nextafter(latency, math.copysign(math.inf, ulps))
+    return components, queue_wait, latency
+
+
 class TestExactClosure:
+
+    @settings(max_examples=300, deadline=None)
+    @given(_breakdowns())
+    @example(({"c0": 1.5990187087857067e-06, "c1": 9.566394159445417e-07,
+               "c2": 0.00011251772086312719},
+              0.0, 0.00011507337898785756))
+    def test_close_is_exact_for_any_breakdown(self, breakdown):
+        """The closed breakdown sums to the latency exactly, also when
+        the exact sum sits halfway between two doubles (the pinned
+        example, where the plain ``residual += err`` iteration
+        oscillates)."""
+        components, queue_wait, latency = breakdown
+        closed = _close(components, queue_wait, latency)
+        assert math.fsum([queue_wait, *dict(closed).values()]) == latency
 
     def test_every_record_closes_exactly(self):
         telemetry, _, _, _ = _run_traced(_three_reader_world())

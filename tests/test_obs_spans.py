@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs.spans import SpanRecorder, chrome_trace
-from repro.sim.trace import Tracer
 
 
 class TestSpanRecorder:
@@ -55,15 +54,6 @@ class TestSpanRecorder:
         rec = SpanRecorder()
         with pytest.raises(ValueError):
             rec.add("syscall", "read", 1.0, 0.5)
-
-    def test_forwards_to_legacy_tracer(self):
-        tracer = Tracer()
-        rec = SpanRecorder(tracer=tracer)
-        rec.add("fault", "disk", 1.0, 1.25, page=7)
-        event = tracer.events(kind="fault")[0]
-        assert event.time == 1.0
-        assert event.duration == pytest.approx(0.25)
-        assert event.attr("page") == 7
 
     def test_clear(self):
         rec = SpanRecorder(capacity=1)

@@ -129,7 +129,11 @@ class TestCli:
     def test_timeline(self, capsys):
         assert main(["timeline", "/mnt/ext2/demo/big.txt"]) == 0
         out = capsys.readouterr().out
-        assert "fault" in out
+        lanes = {line[:8].strip(): line[9:] for line in out.splitlines()
+                 if line[:8].strip() in ("syscall", "fault", "device")}
+        assert set(lanes) == {"syscall", "fault", "device"}
+        for lane, row in lanes.items():
+            assert row.strip(), f"{lane} lane is blank"
 
     def test_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "s.json"

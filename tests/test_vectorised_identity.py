@@ -1,13 +1,13 @@
 """Property tests: the vectorised fault path is bit-identical to scalar.
 
 The numpy fast paths (run-batched device math in ``Device.read_run``,
-the kernel's ``_fault_in_batch`` dispatch, the flat-array SLED build in
-``build_sled_vector``, and the deferred telemetry fan-in) promise *exact*
-equality with the scalar reference code, not approximation.  Every test
-here runs the same deterministic workload twice — once with
-:func:`repro.devices.batch.set_enabled` forcing the vectorised path,
-once forcing the scalar reference — and asserts the results match bit
-for bit:
+the kernel's ``_fault_in_batch`` dispatch, and the deferred telemetry
+fan-in) promise *exact* equality with the scalar reference code, not
+approximation.  Most tests here run the same deterministic workload
+twice — once with :func:`repro.devices.batch.set_enabled` forcing the
+vectorised path, once forcing the scalar reference — and assert the
+results match bit for bit; the SLED build is checked against the
+paper's literal walk instead:
 
 * full workloads (async striding readers + a blocking fault storm)
   across all four filesystem personalities, on the production
@@ -18,10 +18,7 @@ for bit:
 * the per-device batch kernels against a scalar read loop over
   randomized run layouts — durations, running stats, busy horizon,
   component totals, and rng stream alignment;
-* the vectorised SLED build against the scalar fold and the paper's
-  literal full walk, on residency patterns wide enough to actually take
-  the array path (asserted via a spy, so the comparison can't go
-  vacuous);
+* the run-based SLED build against the paper's literal full walk;
 * the telemetry fan-in (``TelemetryBatch``) against immediate per-fault
   ``on_fault`` calls, comparing whole telemetry exports.
 """
@@ -37,7 +34,6 @@ from hypothesis import strategies as st
 
 from repro.block.merge import BlockConfig
 from repro.cache.residency import RunResidency
-from repro.core import builder
 from repro.core.builder import build_sled_vector
 from repro.devices import batch
 from repro.devices.cdrom import CdromDevice
@@ -207,9 +203,8 @@ def test_device_batch_math_matches_scalar(seed, runs):
 
 
 def _sled_inputs(profile: str):
-    """A machine whose file has an alternating residency pattern wide
-    enough (32 resident runs) that ``build_sled_vector`` takes the
-    array path."""
+    """A machine whose file has an alternating residency pattern of 32
+    resident runs."""
     machine, path = _setup(profile, seed=7, pages=256)
     kernel = machine.kernel
     fd = kernel.open(path)
@@ -226,44 +221,15 @@ def _sleds(vector):
                  for s in vector)
 
 
-def _build_spied(cache, fs, inode, table, queue_delays):
-    """build_sled_vector, asserting the numpy emit actually ran."""
-    calls = []
-    original = builder._emit_arrays
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    builder._emit_arrays = spy
-    try:
-        vector = build_sled_vector(cache, fs, inode, table,
-                                   queue_delays=queue_delays)
-    finally:
-        builder._emit_arrays = original
-    assert calls, "vector emit path was not taken (test would be vacuous)"
-    return vector
-
-
 def test_sled_build_vector_path_identical():
+    """``build_sled_vector`` equals the paper's literal per-page walk."""
     for profile in PROFILES:
         machine, kernel, inode, fs = _sled_inputs(profile)
-        cache = kernel.page_cache
-        table = kernel.sleds_table
-        keys = {estimate.device_key for _, estimate
-                in fs.span_estimates(inode, 0, inode.npages)}
-        for queue_delays in (None, {key: 0.00173 for key in keys}):
-            vector = _with_batch(True, _build_spied,
-                                 cache, fs, inode, table, queue_delays)
-            scalar = _with_batch(False, build_sled_vector,
-                                 cache, fs, inode, table, queue_delays)
-            assert _sleds(vector) == _sleds(scalar), (
-                f"{profile}: array emit diverged from scalar fold "
-                f"(queue_delays={queue_delays is not None})")
+        cache, table = kernel.page_cache, kernel.sleds_table
         full = build_sled_vector_full_walk(cache, fs, inode, table)
-        fast = _with_batch(True, build_sled_vector, cache, fs, inode, table)
+        fast = build_sled_vector(cache, fs, inode, table)
         assert _sleds(fast) == _sleds(full), (
-            f"{profile}: vectorised build diverged from the paper's "
+            f"{profile}: run-based build diverged from the paper's "
             f"literal per-page walk")
 
 
@@ -271,7 +237,8 @@ def test_sled_build_vector_path_identical():
 @given(mask=st.lists(st.booleans(), min_size=24, max_size=120))
 def test_sled_build_random_residency_identical(mask):
     """Randomized residency layouts: whatever pattern of resident pages
-    the workload leaves behind, the three builders agree exactly."""
+    the workload leaves behind, the run-based build and the literal
+    walk agree exactly."""
     pages = len(mask)
     machine, path = _setup("ext2", seed=11, pages=pages)
     kernel = machine.kernel
@@ -282,10 +249,9 @@ def test_sled_build_random_residency_identical(mask):
     inode = kernel._fd(fd).inode
     fs = kernel._fd(fd).fs
     cache, table = kernel.page_cache, kernel.sleds_table
-    vector = _with_batch(True, build_sled_vector, cache, fs, inode, table)
-    scalar = _with_batch(False, build_sled_vector, cache, fs, inode, table)
     full = build_sled_vector_full_walk(cache, fs, inode, table)
-    assert _sleds(vector) == _sleds(scalar) == _sleds(full)
+    assert (_sleds(build_sled_vector(cache, fs, inode, table))
+            == _sleds(full))
 
 
 def test_telemetry_fanin_identical():
