@@ -301,9 +301,7 @@ def _profile_storm(args) -> int:
     from repro.sim.units import PAGE_SIZE
 
     profiler = HotPathProfiler()
-    best_wall = None
-    faults = 0
-    virtual = 0.0
+    best_wall = float("inf")
     for _ in range(args.repeat):
         machine = Machine.unix_utilities(cache_pages=STORM_CACHE_PAGES,
                                          seed=STORM_SEED)
@@ -311,35 +309,31 @@ def _profile_storm(args) -> int:
         machine.ext2.create_text_file(
             "storm.dat", STORM_FILE_PAGES * PAGE_SIZE, seed=1)
         kernel = machine.kernel
-        profiler.attach(kernel)
-        fd = kernel.open("/mnt/ext2/storm.dat")
-        size = STORM_FILE_PAGES * PAGE_SIZE
-        chunk = STORM_CHUNK_PAGES * PAGE_SIZE
-        start = kernel.clock.now
-        faults_before = kernel.counters.hard_faults
-        wall_start = time.perf_counter()
-        for _ in range(STORM_PASSES):
-            offset = 0
-            while offset < size:
-                kernel.pread(fd, offset, chunk)
-                offset += chunk
-        wall = time.perf_counter() - wall_start
-        kernel.close(fd)
-        profiler.detach(kernel)
+        with profiler:
+            fd = kernel.open("/mnt/ext2/storm.dat")
+            size = STORM_FILE_PAGES * PAGE_SIZE
+            chunk = STORM_CHUNK_PAGES * PAGE_SIZE
+            start = kernel.clock.now
+            faults_before = kernel.counters.hard_faults
+            wall_start = time.perf_counter()
+            for _ in range(STORM_PASSES):
+                offset = 0
+                while offset < size:
+                    kernel.pread(fd, offset, chunk)
+                    offset += chunk
+            wall = time.perf_counter() - wall_start
+            kernel.close(fd)
         faults = kernel.counters.hard_faults - faults_before
         virtual = kernel.clock.now - start
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
+        best_wall = min(best_wall, wall)
 
-    print(f"fault storm: {STORM_PASSES} passes over "
-          f"{STORM_FILE_PAGES} pages through a "
-          f"{STORM_CACHE_PAGES}-page cache, best of {args.repeat}, "
-          f"{human_time(virtual)} virtual")
-    print()
-    print(profiler.render(virtual_seconds=virtual))
-    if args.json_out:
-        payload = profiler.to_dict(virtual_seconds=virtual)
-        payload["storm"] = {
+    return _profile_report(
+        args, profiler, virtual, faults, best_wall,
+        f"fault storm: {STORM_PASSES} passes over "
+        f"{STORM_FILE_PAGES} pages through a "
+        f"{STORM_CACHE_PAGES}-page cache, best of {args.repeat}, "
+        f"{human_time(virtual)} virtual",
+        storm={
             "file_pages": STORM_FILE_PAGES,
             "cache_pages": STORM_CACHE_PAGES,
             "passes": STORM_PASSES,
@@ -348,15 +342,28 @@ def _profile_storm(args) -> int:
             "hard_faults": faults,
             "best_wall_s": best_wall,
             "faults_per_s": faults / best_wall if best_wall else None,
-        }
+        })
+
+
+def _profile_report(args, profiler, virtual: float, faults: int,
+                    wall: float, header: str, storm=None) -> int:
+    """Print the profile (and with ``--json`` write it, plus the
+    ``storm`` parameters); returns 1 when ``--budget`` is not met."""
+    print(header)
+    print()
+    print(profiler.render(virtual_seconds=virtual))
+    if args.json_out:
+        payload = profiler.to_dict(virtual_seconds=virtual)
+        if storm is not None:
+            payload["storm"] = storm
         with open(args.json_out, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"\nwrote profile JSON to {args.json_out}")
     if args.budget is not None:
-        faults_per_s = faults / best_wall if best_wall > 0 else float("inf")
+        faults_per_s = faults / wall if wall > 0 else float("inf")
         verdict = "PASS" if faults_per_s >= args.budget else "FAIL"
-        print(f"\nthroughput: {faults:,} hard faults in {best_wall:.3f}s "
+        print(f"\nthroughput: {faults:,} hard faults in {wall:.3f}s "
               f"wall = {faults_per_s:,.0f} faults/s "
               f"(budget {args.budget:,.0f}): {verdict}")
         if faults_per_s < args.budget:
@@ -612,41 +619,23 @@ def main(argv: list[str] | None = None) -> int:
         if args.storm:
             return _profile_storm(args)
         paths = args.paths or list(DEMO_READ_MIX)
-        profiler = HotPathProfiler().attach(kernel)
-        # merge+plug on so the block-layer flush site is exercised too
-        kernel.attach_engine(block=BlockConfig(merge=True, plug=True))
-        start = kernel.clock.now
-        faults_before = kernel.counters.hard_faults
-        wall_start = time.perf_counter()
-        for rep in range(args.repeat):
-            _prefetch_sleds(kernel, paths)
-            _run_readers(kernel, paths, prefix=f"r{rep}.")
-        wall = time.perf_counter() - wall_start
-        faults = kernel.counters.hard_faults - faults_before
-        end = kernel.clock.now
-        kernel.detach_engine()
-        virtual = end - start
-
-        print(f"{args.repeat} x {len(paths)} concurrent reader(s), "
-              f"{human_time(virtual)} virtual")
-        print()
-        print(profiler.render(virtual_seconds=virtual))
-        if args.json_out:
-            with open(args.json_out, "w") as handle:
-                json.dump(profiler.to_dict(virtual_seconds=virtual),
-                          handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"\nwrote profile JSON to {args.json_out}")
-        profiler.detach(kernel)
-        if args.budget is not None:
-            faults_per_s = faults / wall if wall > 0 else float("inf")
-            verdict = "PASS" if faults_per_s >= args.budget else "FAIL"
-            print(f"\nthroughput: {faults:,} hard faults in {wall:.3f}s "
-                  f"wall = {faults_per_s:,.0f} faults/s "
-                  f"(budget {args.budget:,.0f}): {verdict}")
-            if faults_per_s < args.budget:
-                return 1
-        return 0
+        with HotPathProfiler() as profiler:
+            # merge+plug on so the block-layer flush site is exercised too
+            kernel.attach_engine(block=BlockConfig(merge=True, plug=True))
+            start = kernel.clock.now
+            faults_before = kernel.counters.hard_faults
+            wall_start = time.perf_counter()
+            for rep in range(args.repeat):
+                _prefetch_sleds(kernel, paths)
+                _run_readers(kernel, paths, prefix=f"r{rep}.")
+            wall = time.perf_counter() - wall_start
+            faults = kernel.counters.hard_faults - faults_before
+            virtual = kernel.clock.now - start
+            kernel.detach_engine()
+        return _profile_report(
+            args, profiler, virtual, faults, wall,
+            f"{args.repeat} x {len(paths)} concurrent reader(s), "
+            f"{human_time(virtual)} virtual")
 
     if args.command == "explain":
         import math

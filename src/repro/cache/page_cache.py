@@ -195,9 +195,6 @@ class PageCache:
         #: on_cache_access / on_cache_insert / on_cache_evict /
         #: on_cache_remove; purely observational, never affects residency
         self.observer = None
-        #: optional wall-clock profiler (repro.obs.profile) timing the
-        #: residency-update path; never affects residency or virtual time
-        self.profiler = None
 
     @property
     def policy(self) -> ReplacementPolicy:
@@ -234,13 +231,7 @@ class PageCache:
         """Sorted resident ``[start, end)`` page runs clipped to
         ``[0, npages)`` — the shape the SLED interval-merge builder
         consumes.  O(runs)."""
-        profiler = self.profiler
-        if profiler is None:
-            return self._index.runs(inode_id, npages)
-        t0 = profiler.begin()
-        runs = self._index.runs(inode_id, npages)
-        profiler.add("cache.resident_runs", t0)
-        return runs
+        return self._index.runs(inode_id, npages)
 
     def resident_count(self, inode_id: int, npages: int) -> int:
         """Number of the inode's first ``npages`` pages currently cached.
@@ -348,13 +339,9 @@ class PageCache:
         accounting and limits; ``None`` (the default) takes the exact seed
         path with no tenant bookkeeping.
         """
-        profiler = self.profiler
-        t0 = profiler.begin() if profiler is not None else 0.0
         shard = self._shard_of(key)
         if key in self._resident:
             shard.policy.on_hit(key)
-            if profiler is not None:
-                profiler.add("cache.residency", t0)
             return None
         evicted: PageKey | None = None
         if tenant is not None:
@@ -375,8 +362,6 @@ class PageCache:
             self._inserts_since_rebalance += 1
             if self._inserts_since_rebalance >= self.rebalance_every:
                 self._rebalance()
-        if profiler is not None:
-            profiler.add("cache.residency", t0)
         return evicted
 
     def insert_run(self, inode_id: int, start: int, n: int) -> int | None:
@@ -404,8 +389,6 @@ class PageCache:
         policy = shard.policy
         if type(policy) is not LruPolicy or n > shard.capacity:
             return None
-        profiler = self.profiler
-        t0 = profiler.begin() if profiler is not None else 0.0
         need = shard.count + n - shard.capacity
         evictions = 0
         generations = self._generations
@@ -439,8 +422,6 @@ class PageCache:
         policy.on_insert_run(inode_id, start, n)
         shard.count += n
         self.stats.insertions += n
-        if profiler is not None:
-            profiler.add("cache.residency", t0)
         return evictions
 
     def _evict_one(self, shard: _Shard) -> PageKey:

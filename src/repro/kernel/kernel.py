@@ -171,10 +171,6 @@ class Kernel:
         #: None = off.  When set, cache hits notify it so it can count
         #: speculative fetches that actually got used.
         self.prefetcher = None
-        #: optional wall-clock hot-path profiler (repro.obs.profile);
-        #: None = off.  Measures host CPU time only — virtual timings
-        #: are bit-identical with a profiler attached or not.
-        self.profiler = None
 
     # ------------------------------------------------------------------
     # mounts and path resolution
@@ -253,8 +249,6 @@ class Kernel:
         if engine is None:
             engine = IoEngine(self, block=block)
         engine.attach()
-        if self.profiler is not None:
-            engine.loop.profiler = self.profiler
         return engine
 
     def detach_engine(self) -> None:
@@ -603,8 +597,6 @@ class Kernel:
         extent_map = inode.extent_map
         resident = cache._resident
         cache_stats = cache.stats
-        profiler = self.profiler
-        t_batch = profiler.begin() if profiler is not None else 0.0
         page = offset // PAGE_SIZE
         end_page = (offset + length - 1) // PAGE_SIZE + 1
         while page < end_page:
@@ -624,7 +616,6 @@ class Kernel:
             cache_stats.misses += n
             for file_page, piece_pages, piece_addr in extent_map.extents_in(
                     run_start, n):
-                t_dev = profiler.begin() if profiler is not None else 0.0
                 durations = device.read_run(
                     piece_addr, piece_pages, PAGE_SIZE)
                 if durations is None:
@@ -635,16 +626,12 @@ class Kernel:
                             category)
                 else:
                     clock.advance_run(durations.tolist(), category)
-                if profiler is not None:
-                    profiler.add("device.batch_math", t_dev)
                 evicted = cache.insert_run(inode_id, file_page, piece_pages)
                 if evicted is None:
                     for extra in range(file_page, file_page + piece_pages):
                         self.insert_page((inode_id, extra))
                 else:
                     counters.evictions += evicted
-        if profiler is not None:
-            profiler.add("kernel.fault_batch", t_batch)
 
     def read_async(self, fd: int, nbytes: int):
         """``read`` as a generator for a task under
@@ -704,11 +691,7 @@ class Kernel:
             self._commit(of, page, cluster, window, completion.duration,
                          completion=completion, tele_batch=tele_batch)
         if tele_batch is not None:
-            profiler = self.profiler
-            t0 = profiler.begin() if profiler is not None else 0.0
             tele_batch.flush()
-            if profiler is not None:
-                profiler.add("obs.telemetry_flush", t0)
 
     def mmap(self, fd: int) -> "MappedRegion":
         """Map an open file; reads through the mapping skip the
@@ -981,14 +964,9 @@ class Kernel:
                         self.engine.queue_delays(of.fs, self.clock.now,
                                                  self.current_tenant)
                         if self.engine is not None else None)
-                    profiler = self.profiler
-                    if profiler is not None:
-                        t0 = profiler.begin()
                     vector = build_sled_vector(
                         self.page_cache, of.fs, of.inode, self.sleds_table,
                         queue_delays=queue_delays)
-                    if profiler is not None:
-                        profiler.add("kernel.sled_build", t0)
                     # kernel walks the file's state: charge ~0.2 us per page
                     self.charge_cpu(of.inode.npages * 0.2 * USEC)
                     self.counters.sleds_builds += 1

@@ -19,7 +19,9 @@ Three pillars, one facade:
   exactly-closed blame attribution over the block layer's dispatch
   provenance, the cross-tenant interference matrix, folded-stack export;
 * :mod:`repro.obs.profile` — wall-clock profiling of the simulator's hot
-  paths (event dispatch, SLED builds, cache residency, block merge);
+  paths (event dispatch, SLED builds, cache residency, block merge, the
+  batched fault path) by wrapping them from outside inside a ``with``
+  block;
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade that attaches
   all of them to a kernel.
 

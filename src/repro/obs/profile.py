@@ -1,24 +1,23 @@
-"""Wall-clock profiling of the simulator's hot paths.
+"""Wall-clock profiling of the simulator's hot paths, from outside.
 
 The ROADMAP's "hardware-fast core" item budgets ≥ 1M faults per *wall*
 second; to spend that budget well we need to know where host CPU time
-goes.  This module adds scoped wall-clock timers to the sites that
-dominate a run — :class:`~repro.sim.events.EventLoop` dispatch, SLED
-vector builds in the kernel ioctl path, page-cache residency updates,
-and block-layer merge/flush — and reports per-site call counts,
-cumulative wall seconds, and wall-per-virtual-second ratios.
+goes.  This module times the functions that dominate a run and reports
+per-site call counts, cumulative wall seconds, and
+wall-per-virtual-second ratios.
 
-The profiler measures *wall* time only.  It never reads or advances the
-virtual clock, draws no randomness, and mutates no simulated state, so
-virtual-time results are bit-identical with it attached or detached
-(property-tested in ``tests/test_obs_zero_cost.py``).  Instrumented
-sites guard with ``if profiler is not None`` so the detached hot path
-pays a single attribute load and branch.
+The simulator carries no hook for it.  Entering a
+:class:`HotPathProfiler` replaces each function named in :data:`HOOKS`
+with a timing wrapper on the class (or module) that defines it; leaving
+puts the exact original object back, also when the block raises.  The
+wrappers read wall time only and pass arguments and results through, so
+virtual-time results are bit-identical with the profiler installed or
+not (property-tested in ``tests/test_obs_zero_cost.py``).
 
 Typical use::
 
-    prof = HotPathProfiler().attach(machine.kernel)
-    ...  # run a workload
+    with HotPathProfiler() as prof:
+        ...  # run a workload
     print(prof.render(virtual_seconds=machine.clock.now))
 
 or via the CLI: ``sleds-run profile``.
@@ -26,25 +25,47 @@ or via the CLI: ``sleds-run profile``.
 
 from __future__ import annotations
 
+import functools
 from time import perf_counter
 
-__all__ = ["HotPathProfiler", "SITES"]
+import repro.kernel.kernel as kernel_module
+from repro.block.merge import PlugQueue
+from repro.cache.page_cache import PageCache
+from repro.devices.base import Device
+from repro.obs.telemetry import TelemetryBatch
+from repro.sim.events import EventLoop
 
-#: the hot-path sites wired into the core (site name -> where it lives)
+__all__ = ["HOOKS", "HotPathProfiler", "SITES"]
+
+#: the profiled hot-path sites (site name -> what is timed)
 SITES = {
     "event_loop.dispatch": "EventLoop.step: pop + fire one event",
     "kernel.sled_build": "Kernel ioctl FSLEDS_GET: build_sled_vector",
-    "cache.residency": "PageCache.insert: residency update + eviction",
+    "cache.residency": "PageCache.insert/insert_run: residency update + eviction",
     "cache.resident_runs": "PageCache.resident_runs: interval-run query",
-    "block.merge_flush": "PlugQueue.flush: coalesce + dispatch",
+    "block.merge_flush": "PlugQueue._coalesce: group a flushed batch",
     "kernel.fault_batch": "Kernel._fault_in_batch: run-batched fault executor",
     "device.batch_math": "Device.read_run: whole-run latency kernels",
     "obs.telemetry_flush": "TelemetryBatch.flush: deferred on_fault fan-in",
 }
 
+#: ``(site, owner, attribute, keep)``: ``owner`` defines ``attribute``;
+#: ``keep(result)`` (None = always) says whether the call did site work
+HOOKS = (
+    ("event_loop.dispatch", EventLoop, "step", bool),
+    ("kernel.sled_build", kernel_module, "build_sled_vector", None),
+    ("cache.residency", PageCache, "insert", None),
+    ("cache.residency", PageCache, "insert_run", lambda r: r is not None),
+    ("cache.resident_runs", PageCache, "resident_runs", None),
+    ("block.merge_flush", PlugQueue, "_coalesce", None),
+    ("kernel.fault_batch", kernel_module.Kernel, "_fault_in_batch", None),
+    ("device.batch_math", Device, "read_run", None),
+    ("obs.telemetry_flush", TelemetryBatch, "flush", None),
+)
+
 
 class _Site:
-    """Accumulated wall time at one instrumented site."""
+    """Accumulated wall time at one profiled site."""
 
     __slots__ = ("calls", "seconds", "max_seconds")
 
@@ -61,69 +82,57 @@ class _Site:
 
 
 class HotPathProfiler:
-    """Scoped wall-clock timers for the simulator core.
+    """Wall-clock timers wrapped around the simulator's hot functions.
 
-    Instrumented code calls :meth:`begin` / :meth:`add` directly (cheaper
-    than a context manager in a hot loop); ad-hoc measurements can use
-    the :meth:`scope` context manager.  :meth:`attach` pushes the
-    profiler onto a kernel and everything reachable from it — the page
-    cache and, when an engine is attached now or later, its event loop.
+    A context manager: the :data:`HOOKS` are installed on entry and
+    removed on exit.  The same profiler may be entered again later; its
+    measurements accumulate until :meth:`clear`.  A call is counted when
+    it returns normally and its site's ``keep`` accepts the result.
     """
 
     def __init__(self) -> None:
         self._sites: dict[str, _Site] = {}
-        self.started_at = perf_counter()
+        #: wall seconds of counted calls not nested in another site call
+        self._outermost = 0.0
+        self._depth = 0
+        self._installed: list[tuple] = []  # (owner, attribute, original)
 
-    # -- measurement ------------------------------------------------------
+    # -- installation -----------------------------------------------------
 
-    @staticmethod
-    def begin() -> float:
-        return perf_counter()
-
-    def add(self, site: str, t0: float) -> None:
-        """Account ``perf_counter() - t0`` wall seconds to ``site``."""
-        elapsed = perf_counter() - t0
-        slot = self._sites.get(site)
-        if slot is None:
-            slot = self._sites[site] = _Site()
-        slot.add(elapsed)
-
-    class _Scope:
-        __slots__ = ("profiler", "site", "t0")
-
-        def __init__(self, profiler: "HotPathProfiler", site: str) -> None:
-            self.profiler = profiler
-            self.site = site
-
-        def __enter__(self) -> "HotPathProfiler._Scope":
-            self.t0 = perf_counter()
-            return self
-
-        def __exit__(self, *exc) -> None:
-            self.profiler.add(self.site, self.t0)
-
-    def scope(self, site: str) -> "HotPathProfiler._Scope":
-        return self._Scope(self, site)
-
-    # -- wiring -----------------------------------------------------------
-
-    def attach(self, kernel) -> "HotPathProfiler":
-        """Instrument ``kernel``, its page cache, and (if present) the
-        attached engine's event loop.  ``Kernel.attach_engine`` keeps the
-        loop instrumented when the engine arrives later."""
-        kernel.profiler = self
-        kernel.page_cache.profiler = self
-        engine = getattr(kernel, "engine", None)
-        if engine is not None:
-            engine.loop.profiler = self
+    def __enter__(self) -> "HotPathProfiler":
+        if self._installed:
+            raise RuntimeError("HotPathProfiler is already installed")
+        for site, owner, attribute, keep in HOOKS:
+            original = vars(owner)[attribute]
+            self._installed.append((owner, attribute, original))
+            setattr(owner, attribute, self._timed(site, original, keep))
         return self
 
-    def detach(self, kernel) -> None:
-        kernel.profiler = None
-        kernel.page_cache.profiler = None
-        engine = getattr(kernel, "engine", None)
-        if engine is not None:
-            engine.loop.profiler = None
+    def __exit__(self, *exc) -> None:
+        while self._installed:
+            owner, attribute, original = self._installed.pop()
+            setattr(owner, attribute, original)
+
+    def _timed(self, site: str, fn, keep):
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            self._depth += 1
+            t0 = perf_counter()
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                self._depth -= 1
+            elapsed = perf_counter() - t0
+            if keep is None or keep(result):
+                slot = self._sites.get(site)
+                if slot is None:
+                    slot = self._sites[site] = _Site()
+                slot.add(elapsed)
+                if self._depth == 0:
+                    self._outermost += elapsed
+            return result
+
+        return timed
 
     # -- reporting --------------------------------------------------------
 
@@ -149,7 +158,10 @@ class HotPathProfiler:
 
     @property
     def total_wall_seconds(self) -> float:
-        return sum(slot.seconds for slot in self._sites.values())
+        """Wall seconds spent inside any site, each instant counted once:
+        a site call nested in another (a cache insert inside a fault
+        batch) is already part of the outer call's time."""
+        return self._outermost
 
     def calls(self, site: str) -> int:
         slot = self._sites.get(site)
@@ -186,4 +198,4 @@ class HotPathProfiler:
 
     def clear(self) -> None:
         self._sites.clear()
-        self.started_at = perf_counter()
+        self._outermost = 0.0

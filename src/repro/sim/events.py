@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from time import perf_counter
 from typing import Callable
 
 from repro.sim.clock import VirtualClock
@@ -107,10 +106,6 @@ class EventLoop:
         #: cancelled events still buried mid-deque (compacted when they
         #: outnumber live ones)
         self._stale = 0
-        #: optional wall-clock profiler (repro.obs.profile); None = off.
-        #: Reads wall time only — virtual timings are bit-identical with
-        #: a profiler attached or not.
-        self.profiler = None
 
     # -- scheduling ------------------------------------------------------
 
@@ -318,8 +313,6 @@ class EventLoop:
 
         Returns False when no live events remain.
         """
-        profiler = self.profiler
-        t0 = perf_counter() if profiler is not None else 0.0
         event = self._pop_next()
         if event is None:
             return False
@@ -330,8 +323,6 @@ class EventLoop:
             self.clock.advance_to(event.time, event.category)
         self._fired += 1
         event.callback()
-        if profiler is not None:
-            profiler.add("event_loop.dispatch", t0)
         return True
 
     def run_until_idle(self, max_events: int = 10_000_000) -> int:

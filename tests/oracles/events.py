@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from time import perf_counter
 from typing import Callable
 
 from repro.sim.clock import VirtualClock
@@ -40,7 +39,6 @@ class HeapEventLoop:
         self._heap: list[HeapEvent] = []
         self._seq = itertools.count()
         self._fired = 0
-        self.profiler = None
 
     def at(self, time: float, callback: Callable[[], None],
            category: str = "wait") -> HeapEvent:
@@ -75,8 +73,6 @@ class HeapEventLoop:
         return self._heap[0].time if self._heap else None
 
     def step(self) -> bool:
-        profiler = self.profiler
-        t0 = perf_counter() if profiler is not None else 0.0
         while self._heap:
             event = heapq.heappop(self._heap)
             if event.cancelled:
@@ -85,8 +81,6 @@ class HeapEventLoop:
                 self.clock.advance_to(event.time, event.category)
             self._fired += 1
             event.callback()
-            if profiler is not None:
-                profiler.add("event_loop.dispatch", t0)
             return True
         return False
 

@@ -8,6 +8,8 @@ filesystem personality.  Telemetry observes; it never advances the
 clock and never draws randomness.
 """
 
+from contextlib import nullcontext
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,10 +85,10 @@ def _run(profile, seed, pages, observed: bool):
             SLO_OBJECTIVES, registry=telemetry.registry,
             track_tenants=True).attach(telemetry)
         forensics.attach(telemetry, slo=slo)
-        HotPathProfiler().attach(kernel)
-    engine = kernel.attach_engine(block=MERGE_ALL)
-    tasks = _interleaved_readers(kernel, path, pages)
-    stats = EventScheduler(kernel, tasks, engine=engine).run()
+    with HotPathProfiler() if observed else nullcontext():
+        engine = kernel.attach_engine(block=MERGE_ALL)
+        tasks = _interleaved_readers(kernel, path, pages)
+        stats = EventScheduler(kernel, tasks, engine=engine).run()
     if observed:
         # exercise the analysis path too: blame every traced record and
         # fold the matrix — all post-hoc, none of it may have perturbed

@@ -294,3 +294,17 @@ class TestCli:
         assert "FAIL" in capsys.readouterr().out
         with pytest.raises(SystemExit):
             main(["profile", "--budget", "0"])
+
+    def test_profile_storm(self, capsys, tmp_path):
+        out_path = tmp_path / "storm.json"
+        assert main(["profile", "--storm", "--repeat", "1",
+                     "--json", str(out_path), "--budget", "1"]) == 0
+        assert "PASS" in capsys.readouterr().out
+        dump = json.loads(out_path.read_text())
+        assert {row["site"]: row["calls"] for row in dump["sites"]} == {
+            "kernel.fault_batch": 768, "device.batch_math": 768,
+            "cache.residency": 768}
+        assert dump["storm"]["hard_faults"] == 49152
+        assert main(["profile", "--storm", "--repeat", "1",
+                     "--budget", "1e12"]) == 1
+        assert "FAIL" in capsys.readouterr().out
